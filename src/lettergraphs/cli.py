@@ -3,8 +3,9 @@
 Every subcommand reads a JSON instance document (file path or "-" for
 stdin), runs one operation, and prints a JSON result document.  Exit codes:
 0 a solution or answer was produced, 1 the instance is infeasible, 2 the
-instance is malformed, 3 an exhaustive-search size guard refused the input,
-70 an internal re-verification failed (a bug, never an input problem).
+instance is malformed or cannot be read, 3 an exhaustive-search size guard
+refused the input, 70 an internal re-verification failed or an unexpected
+exception escaped (a bug, never an input problem).
 
 Solutions are re-verified in process before they are printed: a word or
 witness is checked position by position against the graph it claims to
@@ -19,6 +20,7 @@ import random
 import string
 import sys
 import time
+import traceback
 from typing import Optional
 
 from .coloring_retrieval import find_isomorphism
@@ -30,8 +32,9 @@ from .documents import (InstanceDocument, coloring_payload, decoder_payload,
 from .errors import (InternalConsistencyError, MalformedInstanceError,
                      SizeLimitError)
 from .graphs import Coloring, Graph
-from .letters import decode
-from .oracles import brute_isomorphism, brute_lettericity, enumerate_decoders
+from .letters import check_realization, decode
+from .oracles import (brute_isomorphism, brute_lettericity,
+                      brute_word_realization, enumerate_decoders)
 from .word_retrieval import retrieve_word
 
 GEN_MODES = ("word", "decoder", "coloring")
@@ -41,29 +44,6 @@ EXIT_INFEASIBLE = 1
 EXIT_MALFORMED = 2
 EXIT_SIZE_LIMIT = 3
 EXIT_INTERNAL = 70
-
-
-def _check_realization(graph: Graph, mapping: dict[str, int], word, decoder,
-                       coloring: Optional[Coloring] = None) -> None:
-    """Raise unless mapping sends the graph onto decode(decoder, word).
-
-    mapping assigns each vertex a 1-based word position; edges must agree
-    pair by pair, and when a coloring is given every vertex's letter must
-    match its position's letter.
-    """
-    n = graph.n
-    if len(word) != n or sorted(mapping) != sorted(graph.vertices) \
-            or sorted(mapping.values()) != list(range(1, n + 1)):
-        raise InternalConsistencyError("solution does not map vertices onto word positions")
-    decoded = decode(decoder, word)
-    for i, u in enumerate(graph.vertices):
-        for v in graph.vertices[i + 1:]:
-            if graph.has_edge(u, v) != decoded.graph.has_edge(str(mapping[u]), str(mapping[v])):
-                raise InternalConsistencyError(f"solution misrepresents the pair {u},{v}")
-    if coloring is not None:
-        for v in graph.vertices:
-            if word[mapping[v] - 1] != coloring[v]:
-                raise InternalConsistencyError(f"solution word disagrees with the coloring at {v}")
 
 
 def _require(doc: InstanceDocument, *fields: str) -> None:
@@ -81,12 +61,8 @@ def _timed(func, *args, **kwargs):
 def _cmd_decode(doc: InstanceDocument, args) -> tuple[dict, int]:
     _require(doc, "decoder", "word")
     colored, ms = _timed(decode, doc.decoder, doc.word, doc.alphabet)
-    word = doc.word
-    for i in range(len(word)):
-        for j in range(i + 1, len(word)):
-            expected = (word[i], word[j]) in doc.decoder
-            if expected != colored.graph.has_edge(str(i + 1), str(j + 1)):
-                raise InternalConsistencyError(f"decoded edge set is wrong at positions {i + 1},{j + 1}")
+    identity = {v: i + 1 for i, v in enumerate(colored.graph.vertices)}
+    check_realization(colored.graph, identity, doc.word, doc.decoder, colored.coloring)
     payload = {
         "status": "solution",
         "graph": graph_payload(colored.graph),
@@ -102,7 +78,7 @@ def _cmd_retrieve_word(doc: InstanceDocument, args) -> tuple[dict, int]:
     if solution is None:
         return {"status": "infeasible", "timing_ms": ms}, EXIT_INFEASIBLE
     mapping = {v: i + 1 for i, v in enumerate(solution.permutation)}
-    _check_realization(doc.graph, mapping, solution.word, doc.decoder, doc.coloring)
+    check_realization(doc.graph, mapping, solution.word, doc.decoder, doc.coloring)
     payload = {
         "status": "solution",
         "word": list(solution.word),
@@ -152,7 +128,7 @@ def _cmd_retrieve_coloring(doc: InstanceDocument, args) -> tuple[dict, int]:
     positions = {v: int(mapping[v]) for v in doc.graph.vertices}
     assignment = {v: doc.word[positions[v] - 1] for v in doc.graph.vertices}
     coloring = Coloring(assignment, doc.alphabet)
-    _check_realization(doc.graph, positions, doc.word, doc.decoder, coloring)
+    check_realization(doc.graph, positions, doc.word, doc.decoder, coloring)
     payload = {
         "status": "solution",
         "coloring": coloring_payload(coloring, doc.graph.vertices),
@@ -217,7 +193,7 @@ def _cmd_sym_lettericity(doc: InstanceDocument, args) -> tuple[dict, int]:
         return payload, EXIT_SOLUTION
     witness, ms = _timed(symmetric_witness, doc.graph)
     mapping = _witness_mapping(doc.graph, witness.coloring, witness.word)
-    _check_realization(doc.graph, mapping, witness.word, witness.decoder, witness.coloring)
+    check_realization(doc.graph, mapping, witness.word, witness.decoder, witness.coloring)
     payload = {
         "status": "solution",
         "value": len(witness.alphabet),
@@ -234,8 +210,8 @@ def _cmd_lettericity(doc: InstanceDocument, args) -> tuple[dict, int]:
     witness, ms = _timed(brute_lettericity, doc.graph, args.max_k, jobs=args.jobs)
     if witness is None:
         return {"status": "infeasible", "max_k": args.max_k, "timing_ms": ms}, EXIT_INFEASIBLE
-    _check_realization(doc.graph, witness.mapping, witness.word, witness.decoder,
-                       witness.coloring)
+    check_realization(doc.graph, witness.mapping, witness.word, witness.decoder,
+                      witness.coloring)
     payload = {
         "status": "solution",
         "value": witness.k,
@@ -264,24 +240,6 @@ def _flip_pair(graph: Graph, rng: random.Random) -> Graph:
     else:
         edges.add((u, v))
     return Graph(graph.vertices, sorted(edges))
-
-
-def _has_any_realization(graph: Graph, coloring: Coloring, decoder) -> bool:
-    """Permutation-search oracle for word retrieval; at most 7 vertices."""
-    import itertools
-
-    if graph.n > 7:
-        raise SizeLimitError("infeasible word instances need at most 7 vertices to confirm")
-    n = graph.n
-    adj = graph.adjacency_masks()
-    letters = [coloring[v] for v in graph.vertices]
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    d = set(decoder)
-    for perm in itertools.permutations(range(n)):
-        if all((adj[perm[i]] >> perm[j] & 1) == ((letters[perm[i]], letters[perm[j]]) in d)
-               for i, j in pairs):
-            return True
-    return False
 
 
 def _gen_parts(rng: random.Random, n: int, k: int):
@@ -330,7 +288,7 @@ def gen_instance(seed: int, n: int, k: int, mode: str, feasible: bool) -> Instan
         flipped = _flip_pair(graph, rng)
         confirmed = dict(meta)
         if mode == "word":
-            if _has_any_realization(flipped, coloring, decoder):
+            if brute_word_realization(flipped, coloring, decoder):
                 continue
             confirmed["oracle"] = "permutation search"
             return InstanceDocument(flipped, letters, coloring, None, decoder, confirmed)
@@ -409,13 +367,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _read_instance(path: str) -> InstanceDocument:
-    if path == "-":
-        return parse_instance(sys.stdin.read())
     try:
+        if path == "-":
+            return parse_instance(sys.stdin.read())
         with open(path, "r", encoding="utf-8") as handle:
             return parse_instance(handle.read())
     except OSError as exc:
         raise MalformedInstanceError(f"cannot read instance: {exc}") from None
+    except (RecursionError, ValueError) as exc:
+        # Undecodable bytes, or JSON nested too deeply for the parser.
+        raise MalformedInstanceError(f"cannot parse instance: {exc}") from None
 
 
 def _write(text: str, path: Optional[str]) -> None:
@@ -447,6 +408,11 @@ def main(argv: Optional[list[str]] = None) -> int:
         return EXIT_SIZE_LIMIT
     except InternalConsistencyError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
+    except Exception as exc:
+        # Anything else is a bug; exit 1 would misreport it as infeasible.
+        traceback.print_exc()
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
 
 

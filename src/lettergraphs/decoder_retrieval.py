@@ -12,15 +12,21 @@ respecting chi:
   * a pair with some but not all cross edges present ("one-sided") contains
     exactly one of ab, ba in any solution, so those choices become boolean
     variables of a 2-SAT formula whose clauses are computed by verifying
-    candidate decoders on small cross-edge subinstances.
+    candidate decoders on blocks of the instance.
+
+Everything runs on one DecoderInstance, built and validated once per call:
+adjacency rows and per-letter vertex masks, the within-letter status and
+pair kinds, and each pair's projected word, cached on first use.  A block
+(a center letter, its partners, and only the center-to-partner edges) is
+checked by masking the instance's rows, not by building a smaller graph.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Optional, Sequence
+from functools import cached_property
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .errors import InternalConsistencyError, MalformedInstanceError
 from .graphs import Coloring, Graph, check_total_coloring, color_masks
@@ -32,61 +38,20 @@ from .letters import (
     is_palindrome,
     normalize_decoder,
     project_word,
-    run_lengths,
 )
 from .twosat import TwoSatFormula, solve_2sat
 
 DirectedPair = tuple[str, str]
 
 
-def verify_decoder(graph: Graph, coloring: Coloring, word: Sequence[str],
-                   decoder: Iterable[Sequence[str]]) -> bool:
-    """Decide whether the decoder realizes the graph from the word.
-
-    Peels vertices greedily: the first word letter must be matched by some
-    vertex of its color whose remaining neighborhood is exactly the union of
-    the color classes its letter can see under the decoder.  Any two vertices
-    eligible at the same step are generalized twins, so taking the one with
-    the smallest index never loses a solution.
-    """
-    check_total_coloring(graph, coloring)
-    d = decoder if isinstance(decoder, frozenset) else normalize_decoder(decoder)
-    n = graph.n
-    if len(word) != n:
-        raise MalformedInstanceError("word length differs from the vertex count")
-    alphabet = set(coloring.alphabet)
-    stray = set(word) - alphabet
-    if stray:
-        raise MalformedInstanceError(f"word letters outside the alphabet: {sorted(stray)}")
-    stray = decoder_letters(d) - alphabet
-    if stray:
-        raise MalformedInstanceError(f"decoder letters outside the alphabet: {sorted(stray)}")
-    counts = Counter(word)
-    for a in coloring.alphabet:
-        if counts[a] != len(coloring.group(a)):
-            raise MalformedInstanceError(
-                f"letter {a!r} appears {counts[a]} times but colors {len(coloring.group(a))} vertices"
-            )
-
-    masks = color_masks(graph, coloring)
-    visible = {a: 0 for a in coloring.alphabet}
-    for a, b in d:
-        visible[a] |= masks[b]
-    adj = graph.adjacency_masks()
-    remaining = (1 << n) - 1
-    for letter in word:
-        allowed = visible[letter] & remaining
-        candidates = masks[letter] & remaining
-        while candidates:
-            low = candidates & -candidates
-            v = low.bit_length() - 1
-            if adj[v] & remaining == allowed & ~low:
-                remaining ^= low
-                break
-            candidates ^= low
-        else:
-            return False
-    return True
+def _members(mask: int) -> list[int]:
+    """Indices of the set bits of the mask, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
 
 
 class PairKind(Enum):
@@ -95,134 +60,175 @@ class PairKind(Enum):
     ONE_SIDED = "one-sided"
 
 
-@dataclass(frozen=True)
-class PairClass:
-    kind: PairKind
-    edge_count: int
-    capacity: int
+class PairWord(NamedTuple):
+    """The word projected to a letter pair, with each letter's run count."""
+
+    word: Word
+    runs: dict[str, int]
+    palindrome: bool
 
 
-@dataclass(frozen=True)
-class PairProfile:
-    """Shape of a letter pair's projected word and cross adjacency.
+class DecoderInstance:
+    """A validated instance (G, chi, w) indexed by bitmasks.
 
-    The projection is normalized to start with its first letter, recorded in
-    `letters`; `swapped` says whether that differs from the requested order.
-    Run counts, run lengths, and the universal/isolated vertex counts all
-    refer to the normalized first letter.
+    Vertex i is bit i.  Letters coloring no vertex are accepted here (they
+    must then be absent from the word); the solvers refuse them through
+    require_used_letters.
     """
 
-    letters: tuple[str, str]
-    a_runs: int
-    b_runs: int
-    palindrome: bool
-    universal_count: int
-    isolated_count: int
-    first_run_len: int
-    last_run_len: int
-    swapped: bool
+    def __init__(self, graph: Graph, coloring: Coloring, word: Sequence[str]):
+        check_total_coloring(graph, coloring)
+        if len(word) != graph.n:
+            raise MalformedInstanceError("word length differs from the vertex count")
+        counts = Counter(word)
+        stray = set(counts) - set(coloring.alphabet)
+        if stray:
+            raise MalformedInstanceError(f"word letters outside the alphabet: {sorted(stray)}")
+        self.masks = color_masks(graph, coloring)
+        for a, mask in self.masks.items():
+            if counts[a] != mask.bit_count():
+                raise MalformedInstanceError(
+                    f"letter {a!r} appears {counts[a]} times but colors {mask.bit_count()} vertices"
+                )
+        self.word: Word = tuple(word)
+        self.letters = sorted(coloring.alphabet)
+        self.adj = graph.adjacency_masks()
+        self._whole = dict.fromkeys(self.letters, (1 << graph.n) - 1)
+        self._pair_words: dict[tuple[str, str], PairWord] = {}
+
+    def require_used_letters(self) -> None:
+        for a, mask in self.masks.items():
+            if not mask:
+                raise MalformedInstanceError(f"letter {a!r} colors no vertex")
+
+    @cached_property
+    def within(self) -> dict[str, Optional[str]]:
+        """Per letter: "clique", "independent", or None when G[V_a] is neither."""
+        status: dict[str, Optional[str]] = {}
+        for a in self.letters:
+            mask = self.masks[a]
+            size = mask.bit_count()
+            inside = sum((self.adj[v] & mask).bit_count() for v in _members(mask)) // 2
+            if inside == size * (size - 1) // 2 and size >= 2:
+                status[a] = "clique"
+            elif inside == 0:
+                status[a] = "independent"
+            else:
+                status[a] = None
+        return status
+
+    @cached_property
+    def pair_kinds(self) -> dict[tuple[str, str], PairKind]:
+        """Kind of every letter pair (a, b) with a < b, in sorted order."""
+        kinds = {}
+        for i, a in enumerate(self.letters):
+            rows = [self.adj[v] for v in _members(self.masks[a])]
+            for b in self.letters[i + 1:]:
+                mask_b = self.masks[b]
+                count = sum((row & mask_b).bit_count() for row in rows)
+                if count == 0:
+                    kinds[(a, b)] = PairKind.EMPTY
+                elif count == len(rows) * mask_b.bit_count():
+                    kinds[(a, b)] = PairKind.FULL
+                else:
+                    kinds[(a, b)] = PairKind.ONE_SIDED
+        return kinds
+
+    def kind(self, a: str, b: str) -> PairKind:
+        try:
+            return self.pair_kinds[(a, b) if a < b else (b, a)]
+        except KeyError:
+            raise MalformedInstanceError(
+                f"{a!r} and {b!r} are not two distinct alphabet letters") from None
+
+    def one_sided(self) -> list[tuple[str, str]]:
+        return [pair for pair, kind in self.pair_kinds.items() if kind is PairKind.ONE_SIDED]
+
+    def partners(self, a: str) -> list[str]:
+        """Letters forming a one-sided pair with a, in sorted order."""
+        return [b for b in self.letters if b != a and self.kind(a, b) is PairKind.ONE_SIDED]
+
+    def pair_word(self, a: str, b: str) -> PairWord:
+        key = (a, b) if a < b else (b, a)
+        pair = self._pair_words.get(key)
+        if pair is None:
+            word = project_word(self.word, key)
+            pair = PairWord(word, {c: count_runs(word, c) for c in key}, is_palindrome(word))
+            self._pair_words[key] = pair
+        return pair
+
+    def realizes(self, decoder: Iterable[DirectedPair]) -> bool:
+        """Whether the decoder, over alphabet letters, realizes the whole instance."""
+        return self._peels(self.word, self._whole, decoder)
+
+    def realizes_block(self, center: str, partners: Sequence[str],
+                       decoder: Iterable[DirectedPair]) -> bool:
+        """Whether the decoder realizes the block of center and partners.
+
+        The block has the letters' vertices and only the edges joining the
+        center's class to the partners' classes; the center given as its own
+        sole partner keeps the edges inside its class instead.  The decoder
+        may use only the block's letters.
+        """
+        partner_mask = 0
+        for b in partners:
+            partner_mask |= self.masks[b]
+        rows = dict.fromkeys(partners, self.masks[center])
+        rows[center] = partner_mask
+        if len(rows) == 2:
+            word = self.pair_word(*rows).word
+        else:
+            word = project_word(self.word, rows)
+        return self._peels(word, rows, decoder)
+
+    def _peels(self, word: Sequence[str], rows: dict[str, int],
+               decoder: Iterable[DirectedPair]) -> bool:
+        """Greedy peeling on the letters of `rows`, each letter's vertices
+        keeping only their edges into rows[letter].
+
+        The first word letter must be matched by some vertex of its color
+        whose remaining neighborhood is exactly the union of the color
+        classes its letter can see under the decoder.  Any two vertices
+        eligible at the same step are generalized twins, so taking the one
+        with the smallest index never loses a solution.
+        """
+        masks, adj = self.masks, self.adj
+        visible = dict.fromkeys(rows, 0)
+        remaining = 0
+        for a in rows:
+            remaining |= masks[a]
+        for a, b in decoder:
+            visible[a] |= masks[b]
+        for letter in word:
+            allowed = visible[letter] & remaining
+            kept = rows[letter] & remaining
+            candidates = masks[letter] & remaining
+            while candidates:
+                low = candidates & -candidates
+                v = low.bit_length() - 1
+                if adj[v] & kept == allowed & ~low:
+                    remaining ^= low
+                    break
+                candidates ^= low
+            else:
+                return False
+        return True
 
 
-def classify_pair(graph: Graph, coloring: Coloring, word: Sequence[str],
-                  a: str, b: str) -> tuple[PairClass, PairProfile]:
-    """Edge class of the pair {a, b} plus the profile of w projected to it."""
-    check_total_coloring(graph, coloring)
-    if a == b:
-        raise MalformedInstanceError("classify_pair needs two distinct letters")
-    masks = color_masks(graph, coloring)
-    if a not in masks or b not in masks:
-        raise MalformedInstanceError("letters must belong to the alphabet")
-    adj = graph.adjacency_masks()
+def verify_decoder(graph: Graph, coloring: Coloring, word: Sequence[str],
+                   decoder: Iterable[Sequence[str]]) -> bool:
+    """Decide whether the decoder realizes the graph from the word.
 
-    mask_b = masks[b]
-    edge_count = 0
-    for v in coloring.group(a):
-        edge_count += (adj[graph.index(v)] & mask_b).bit_count()
-    capacity = len(coloring.group(a)) * len(coloring.group(b))
-    if edge_count == 0:
-        kind = PairKind.EMPTY
-    elif edge_count == capacity:
-        kind = PairKind.FULL
-    else:
-        kind = PairKind.ONE_SIDED
-    pair_class = PairClass(kind, edge_count, capacity)
-
-    projection = project_word(word, {a, b})
-    primary = projection[0] if projection else a
-    secondary = b if primary == a else a
-    mask_secondary = masks[secondary]
-    universal = isolated = 0
-    for v in coloring.group(primary):
-        seen = adj[graph.index(v)] & mask_secondary
-        if seen == mask_secondary and mask_secondary:
-            universal += 1
-        elif not seen:
-            isolated += 1
-    lengths = run_lengths(projection, primary)
-    profile = PairProfile(
-        letters=(primary, secondary),
-        a_runs=count_runs(projection, primary),
-        b_runs=count_runs(projection, secondary),
-        palindrome=is_palindrome(projection),
-        universal_count=universal,
-        isolated_count=isolated,
-        first_run_len=lengths[0] if lengths else 0,
-        last_run_len=lengths[-1] if lengths else 0,
-        swapped=primary != a,
-    )
-    return pair_class, profile
-
-
-def _subinstance(graph: Graph, coloring: Coloring, word: Sequence[str],
-                 letters: Sequence[str],
-                 edges: Iterable[tuple[str, str]]) -> tuple[Graph, Coloring, Word]:
-    """Instance on the given letters' vertices with exactly the given edges."""
-    letter_set = set(letters)
-    keep = [v for v in graph.vertices if coloring[v] in letter_set]
-    sub_graph = Graph(keep, edges)
-    sub_alphabet = [c for c in coloring.alphabet if c in letter_set]
-    sub_coloring = coloring.restrict(keep, sub_alphabet)
-    return sub_graph, sub_coloring, project_word(word, letter_set)
-
-
-def _cross_edges(graph: Graph, coloring: Coloring, center: str,
-                 others: Iterable[str]) -> list[tuple[str, str]]:
-    """Edges joining the center letter's vertices to the other letters' vertices."""
-    masks = color_masks(graph, coloring)
-    other_mask = 0
-    for c in others:
-        other_mask |= masks[c]
-    adj = graph.adjacency_masks()
-    out = []
-    for u in coloring.group(center):
-        row = adj[graph.index(u)] & other_mask
-        while row:
-            low = row & -row
-            out.append((u, graph.vertices[low.bit_length() - 1]))
-            row ^= low
-    return out
-
-
-def pair_subinstance(graph: Graph, coloring: Coloring, word: Sequence[str],
-                     a: str, b: str) -> tuple[Graph, Coloring, Word]:
-    """The two letters' vertices with only their cross edges."""
-    return _subinstance(graph, coloring, word, (a, b),
-                        _cross_edges(graph, coloring, a, (b,)))
-
-
-def within_subinstance(graph: Graph, coloring: Coloring, word: Sequence[str],
-                       a: str) -> tuple[Graph, Coloring, Word]:
-    """One letter's vertices with only the edges among themselves."""
-    group = set(coloring.group(a))
-    edges = [(u, v) for u, v in graph.edge_list() if u in group and v in group]
-    return _subinstance(graph, coloring, word, (a,), edges)
-
-
-def block_subinstance(graph: Graph, coloring: Coloring, word: Sequence[str],
-                      center: str, others: Sequence[str]) -> tuple[Graph, Coloring, Word]:
-    """The center letter plus partners, keeping only center-to-partner edges."""
-    return _subinstance(graph, coloring, word, (center, *others),
-                        _cross_edges(graph, coloring, center, others))
+    Peels vertices greedily (see DecoderInstance._peels) after checking
+    that the word and decoder stay inside the alphabet and that each letter
+    occurs as often as it colors vertices.
+    """
+    inst = DecoderInstance(graph, coloring, word)
+    d = decoder if isinstance(decoder, frozenset) else normalize_decoder(decoder)
+    stray = decoder_letters(d) - set(coloring.alphabet)
+    if stray:
+        raise MalformedInstanceError(f"decoder letters outside the alphabet: {sorted(stray)}")
+    return inst.realizes(d)
 
 
 class PairStatus(Enum):
@@ -231,28 +237,26 @@ class PairStatus(Enum):
     INFEASIBLE = "infeasible"
 
 
-def forced_pair_word(graph: Graph, coloring: Coloring, word: Sequence[str],
-                     a: str, b: str) -> tuple[PairStatus, Optional[DirectedPair]]:
+def forced_pair_word(inst: DecoderInstance, a: str,
+                     b: str) -> tuple[PairStatus, Optional[DirectedPair]]:
     """Which of ab / ba can realize the pair's cross edges on its own.
 
-    Runs the verifier on the cross-edge subinstance for the two singleton
-    candidates {ab} and {ba}.  Exactly one passing pins the orientation; for
-    a non-palindromic projection at most one can pass.  (An equivalent
-    derivation strips matching first and last runs off the projection until
-    the orientation is exposed; verifying both candidates is simpler and
-    just as fast at this scale.)
+    Checks the two singleton candidates {ab} and {ba} on the pair's block.
+    Exactly one passing pins the orientation; for a non-palindromic
+    projection at most one can pass.  (An equivalent derivation strips
+    matching first and last runs off the projection until the orientation
+    is exposed; checking both candidates is simpler and just as fast at
+    this scale.)
     """
-    pair_class, _ = classify_pair(graph, coloring, word, a, b)
-    if pair_class.kind is not PairKind.ONE_SIDED:
+    if inst.kind(a, b) is not PairKind.ONE_SIDED:
         raise InternalConsistencyError("forced_pair_word needs a one-sided pair")
-    projection = project_word(word, {a, b})
-    if count_runs(projection, a) < 2 and count_runs(projection, b) < 2:
+    pair = inst.pair_word(a, b)
+    if pair.runs[a] < 2 and pair.runs[b] < 2:
         raise InternalConsistencyError("pair word has a single run of each letter")
-    sub = pair_subinstance(graph, coloring, word, a, b)
-    ok_ab = verify_decoder(*sub, frozenset({(a, b)}))
-    ok_ba = verify_decoder(*sub, frozenset({(b, a)}))
+    ok_ab = inst.realizes_block(a, (b,), {(a, b)})
+    ok_ba = inst.realizes_block(a, (b,), {(b, a)})
     if ok_ab and ok_ba:
-        if not is_palindrome(projection):
+        if not pair.palindrome:
             raise InternalConsistencyError("both orientations fit a non-palindromic pair word")
         return PairStatus.FREE, None
     if ok_ab:
@@ -262,15 +266,14 @@ def forced_pair_word(graph: Graph, coloring: Coloring, word: Sequence[str],
     return PairStatus.INFEASIBLE, None
 
 
-def cascade_word(graph: Graph, coloring: Coloring, word: Sequence[str],
-                 a: str, b: str, c: str,
+def cascade_word(inst: DecoderInstance, a: str, b: str, c: str,
                  premise: DirectedPair) -> Optional[DirectedPair]:
     """Propagate a pair orientation across a shared letter.
 
     Given one-sided pairs {a, b} and {b, c} whose projections both have at
     least two b-runs, with w[b, c] a palindrome, assume the {a, b} choice is
     `premise` and test the decoders {premise, bc} and {premise, cb} on the
-    subinstance of edges leaving V_b.  At most one fits; if neither does, no
+    block of edges leaving V_b.  At most one fits; if neither does, no
     solution contains the premise at all and None is returned.
     """
     if len({a, b, c}) != 3:
@@ -278,93 +281,22 @@ def cascade_word(graph: Graph, coloring: Coloring, word: Sequence[str],
     if premise not in ((a, b), (b, a)):
         raise InternalConsistencyError("premise must orient the first pair")
     for x, y in ((a, b), (b, c)):
-        kind = classify_pair(graph, coloring, word, x, y)[0].kind
-        if kind is not PairKind.ONE_SIDED:
+        if inst.kind(x, y) is not PairKind.ONE_SIDED:
             raise InternalConsistencyError(f"pair {x}{y} is not one-sided")
-        if count_runs(project_word(word, {x, y}), b) < 2:
+        if inst.pair_word(x, y).runs[b] < 2:
             raise InternalConsistencyError(f"pair word {x}{y} needs two runs of {b!r}")
-    if not is_palindrome(project_word(word, {b, c})):
+    if not inst.pair_word(b, c).palindrome:
         raise InternalConsistencyError("second pair word must be a palindrome")
 
-    sub = block_subinstance(graph, coloring, word, b, (a, c))
-    ok_bc = verify_decoder(*sub, frozenset({premise, (b, c)}))
-    ok_cb = verify_decoder(*sub, frozenset({premise, (c, b)}))
+    ok_bc = inst.realizes_block(b, (a, c), {premise, (b, c)})
+    ok_cb = inst.realizes_block(b, (a, c), {premise, (c, b)})
     if ok_bc and ok_cb:
-        raise InternalConsistencyError("both cascade candidates fit the subinstance")
+        raise InternalConsistencyError("both cascade candidates fit the block")
     if ok_bc:
         return (b, c)
     if ok_cb:
         return (c, b)
     return None
-
-
-def _validate_instance(graph: Graph, coloring: Coloring, word: Sequence[str]) -> None:
-    """Entry check for the decoder pipeline: counts match, no unused letters."""
-    check_total_coloring(graph, coloring)
-    if len(word) != graph.n:
-        raise MalformedInstanceError("word length differs from the vertex count")
-    counts = Counter(word)
-    stray = set(counts) - set(coloring.alphabet)
-    if stray:
-        raise MalformedInstanceError(f"word letters outside the alphabet: {sorted(stray)}")
-    for a in coloring.alphabet:
-        if not coloring.group(a):
-            raise MalformedInstanceError(f"letter {a!r} colors no vertex")
-        if counts[a] != len(coloring.group(a)):
-            raise MalformedInstanceError(
-                f"letter {a!r} appears {counts[a]} times but colors {len(coloring.group(a))} vertices"
-            )
-
-
-class _Survey:
-    """Shared per-instance facts: letter order, within-letter status, pair classes."""
-
-    def __init__(self, graph: Graph, coloring: Coloring, word: Sequence[str]):
-        self.letters = sorted(coloring.alphabet)
-        masks = color_masks(graph, coloring)
-        adj = graph.adjacency_masks()
-        self.within: dict[str, Optional[str]] = {}
-        for a in self.letters:
-            mask = masks[a]
-            size = mask.bit_count()
-            inside = 0
-            remaining = mask
-            while remaining:
-                low = remaining & -remaining
-                inside += (adj[low.bit_length() - 1] & mask).bit_count()
-                remaining ^= low
-            inside //= 2
-            if inside == size * (size - 1) // 2 and size >= 2:
-                self.within[a] = "clique"
-            elif inside == 0:
-                self.within[a] = "independent"
-            else:
-                self.within[a] = None
-        self.pair_kind: dict[tuple[str, str], PairKind] = {}
-        for i, a in enumerate(self.letters):
-            for b in self.letters[i + 1:]:
-                count = 0
-                remaining = masks[a]
-                while remaining:
-                    low = remaining & -remaining
-                    count += (adj[low.bit_length() - 1] & masks[b]).bit_count()
-                    remaining ^= low
-                capacity = masks[a].bit_count() * masks[b].bit_count()
-                if count == 0:
-                    kind = PairKind.EMPTY
-                elif count == capacity:
-                    kind = PairKind.FULL
-                else:
-                    kind = PairKind.ONE_SIDED
-                self.pair_kind[(a, b)] = kind
-
-    def one_sided(self) -> list[tuple[str, str]]:
-        return [pair for pair, kind in sorted(self.pair_kind.items())
-                if kind is PairKind.ONE_SIDED]
-
-    def is_one_sided(self, a: str, b: str) -> bool:
-        key = (a, b) if a < b else (b, a)
-        return self.pair_kind.get(key) is PairKind.ONE_SIDED
 
 
 def build_formula(graph: Graph, coloring: Coloring,
@@ -376,15 +308,18 @@ def build_formula(graph: Graph, coloring: Coloring,
     projection is a single a-run followed by a single b-run (or vice versa),
     or a non-palindromic one-sided pair fits neither orientation.
     """
-    _validate_instance(graph, coloring, word)
-    survey = _Survey(graph, coloring, word)
-    if any(status is None for status in survey.within.values()):
+    inst = DecoderInstance(graph, coloring, word)
+    inst.require_used_letters()
+    return _formula(inst)
+
+
+def _formula(inst: DecoderInstance) -> Optional[TwoSatFormula]:
+    if any(status is None for status in inst.within.values()):
         return None
-    one_sided = survey.one_sided()
-    projections = {pair: project_word(word, pair) for pair in one_sided}
+    one_sided = inst.one_sided()
     for a, b in one_sided:
-        p = projections[(a, b)]
-        if count_runs(p, a) < 2 and count_runs(p, b) < 2:
+        runs = inst.pair_word(a, b).runs
+        if runs[a] < 2 and runs[b] < 2:
             # One run of each letter: either orientation would make the
             # first-run vertices universal toward the other side, which a
             # one-sided pair cannot satisfy.
@@ -401,9 +336,9 @@ def build_formula(graph: Graph, coloring: Coloring,
         formula.add_clause(((a, b), True), ((b, a), True))
         formula.add_clause(((a, b), False), ((b, a), False))
     for a, b in one_sided:
-        if is_palindrome(projections[(a, b)]):
+        if inst.pair_word(a, b).palindrome:
             continue
-        status, direction = forced_pair_word(graph, coloring, word, a, b)
+        status, direction = forced_pair_word(inst, a, b)
         if status is PairStatus.INFEASIBLE:
             return None
         assert status is PairStatus.FORCED and direction is not None
@@ -413,19 +348,19 @@ def build_formula(graph: Graph, coloring: Coloring,
     # Orientation links across a shared letter: for one-sided pairs {x, b}
     # and {b, z} with two b-runs each and w[b, z] palindromic, each choice
     # for {x, b} implies at most one choice for {b, z}.
-    for b in survey.letters:
-        partners = [x for x in survey.letters if x != b and survey.is_one_sided(b, x)]
+    for b in inst.letters:
+        partners = inst.partners(b)
         for x in partners:
-            if count_runs(project_word(word, {x, b}), b) < 2:
+            if inst.pair_word(x, b).runs[b] < 2:
                 continue
             for z in partners:
                 if z == x:
                     continue
-                p_bz = project_word(word, {b, z})
-                if count_runs(p_bz, b) < 2 or not is_palindrome(p_bz):
+                p_bz = inst.pair_word(b, z)
+                if p_bz.runs[b] < 2 or not p_bz.palindrome:
                     continue
                 for premise in ((x, b), (b, x)):
-                    implied = cascade_word(graph, coloring, word, x, b, z, premise)
+                    implied = cascade_word(inst, x, b, z, premise)
                     if implied is None:
                         formula.add_clause((premise, False))
                     else:
@@ -435,15 +370,12 @@ def build_formula(graph: Graph, coloring: Coloring,
     # whose projections have two a-runs must together realize the edges
     # leaving V_a.  Fixing one pair determines the rest, so each starting
     # orientation that fails the block check is excluded by a unit clause.
-    for a in survey.letters:
-        block = [b for b in survey.letters
-                 if b != a and survey.is_one_sided(a, b)
-                 and count_runs(project_word(word, {a, b}), a) >= 2]
+    for a in inst.letters:
+        block = [b for b in inst.partners(a) if inst.pair_word(a, b).runs[a] >= 2]
         if not block:
             continue
-        palindromic = [b for b in block if is_palindrome(project_word(word, {a, b}))]
+        palindromic = [b for b in block if inst.pair_word(a, b).palindrome]
         plain = [b for b in block if b not in set(palindromic)]
-        sub = block_subinstance(graph, coloring, word, a, block)
         if plain:
             b0 = plain[0]
             key = (a, b0) if a < b0 else (b0, a)
@@ -458,7 +390,7 @@ def build_formula(graph: Graph, coloring: Coloring,
                 if c == b0:
                     continue
                 if c in set(palindromic):
-                    implied = cascade_word(graph, coloring, word, b0, a, c, start)
+                    implied = cascade_word(inst, b0, a, c, start)
                     if implied is None:
                         formula.add_clause((start, False))
                         consistent = False
@@ -467,7 +399,7 @@ def build_formula(graph: Graph, coloring: Coloring,
                 else:
                     key = (a, c) if a < c else (c, a)
                     candidate.add(forced[key])
-            if consistent and not verify_decoder(*sub, frozenset(candidate)):
+            if consistent and not inst.realizes_block(a, block, candidate):
                 formula.add_clause((start, False))
     return formula
 
@@ -475,22 +407,23 @@ def build_formula(graph: Graph, coloring: Coloring,
 def retrieve_decoder(graph: Graph, coloring: Coloring,
                      word: Sequence[str]) -> Optional[Decoder]:
     """A decoder realizing the graph from the word, or None if none exists."""
-    formula = build_formula(graph, coloring, word)
+    inst = DecoderInstance(graph, coloring, word)
+    inst.require_used_letters()
+    formula = _formula(inst)
     if formula is None:
         return None
     model = solve_2sat(formula)
     if model is None:
         return None
     chosen = {pair for pair, value in model.items() if value}
-    survey = _Survey(graph, coloring, word)
-    for a, status in survey.within.items():
+    for a, status in inst.within.items():
         if status == "clique":
             chosen.add((a, a))
-    for (a, b), kind in survey.pair_kind.items():
+    for (a, b), kind in inst.pair_kinds.items():
         if kind is PairKind.FULL:
             chosen.add((a, b))
             chosen.add((b, a))
     decoder = frozenset(chosen)
-    if not verify_decoder(graph, coloring, word, decoder):
+    if not inst.realizes(decoder):
         raise InternalConsistencyError("assembled decoder failed verification")
     return decoder

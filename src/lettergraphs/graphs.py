@@ -124,35 +124,6 @@ def are_generalized_twins(graph: Graph, u: str, v: str) -> bool:
     return masks[i] & ~(1 << j) == masks[j] & ~(1 << i)
 
 
-def induced_subgraph(graph: Graph, keep: Iterable[str]) -> Graph:
-    """Subgraph induced by `keep`, preserving declaration order."""
-    wanted = set(keep)
-    for v in wanted:
-        graph.index(v)
-    vertices = [v for v in graph.vertices if v in wanted]
-    edges = [(u, v) for u, v in graph.edge_list() if u in wanted and v in wanted]
-    return Graph(vertices, edges)
-
-
-def bipartite_edges(graph: Graph, left: Iterable[str], right: Iterable[str]) -> frozenset[tuple[str, str]]:
-    """Edges with one end in `left` and the other in `right`, oriented left-first.
-
-    The two sides must be disjoint.
-    """
-    a = set(left)
-    b = set(right)
-    if a & b:
-        raise MalformedInstanceError("bipartite sides overlap")
-    for v in a | b:
-        graph.index(v)
-    out = set()
-    for u in a:
-        for v in graph.neighbors(u):
-            if v in b:
-                out.add((u, v))
-    return frozenset(out)
-
-
 class Coloring:
     """A total assignment of letters to vertices plus the derived groups.
 
@@ -199,12 +170,6 @@ class Coloring:
             return self.color_groups[letter]
         except KeyError:
             raise MalformedInstanceError(f"letter {letter!r} not in alphabet") from None
-
-    def restrict(self, vertices: Iterable[str], alphabet: Optional[Sequence[str]] = None) -> "Coloring":
-        sub = {v: self[v] for v in vertices}
-        if alphabet is None:
-            alphabet = tuple(c for c in self.alphabet if c in set(sub.values()))
-        return Coloring(sub, alphabet)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Coloring):

@@ -3,15 +3,16 @@
 A word w together with a decoder D (a set of ordered letter pairs) defines
 a graph on positions 1..|w|: positions i < j are adjacent exactly when the
 ordered pair (w_i, w_j) belongs to D.  Every position inherits its letter
-as a color.
+as a color.  check_realization tests a claimed realization of a given graph
+against that rule directly, without decoding.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
-from .errors import MalformedInstanceError
+from .errors import InternalConsistencyError, MalformedInstanceError
 from .graphs import Coloring, Graph, check_token
 
 Word = tuple[str, ...]
@@ -54,21 +55,6 @@ def count_runs(word: Sequence[str], letter: str) -> int:
             runs += 1
         previous = c
     return runs
-
-
-def run_lengths(word: Sequence[str], letter: str) -> list[int]:
-    """Lengths of the letter's maximal runs, left to right."""
-    out: list[int] = []
-    current = 0
-    for c in word:
-        if c == letter:
-            current += 1
-        elif current:
-            out.append(current)
-            current = 0
-    if current:
-        out.append(current)
-    return out
 
 
 def is_palindrome(word: Sequence[str]) -> bool:
@@ -121,3 +107,52 @@ def decode(decoder: Iterable[Sequence[str]], word: Sequence[str],
     graph = Graph(positions, edges)
     coloring = Coloring({positions[i]: w[i] for i in range(len(w))}, alphabet)
     return ColoredGraph(graph, coloring)
+
+
+def check_realization(graph: Graph, mapping: Mapping[str, int], word: Sequence[str],
+                      decoder: Iterable[Sequence[str]],
+                      coloring: Optional[Coloring] = None) -> None:
+    """Raise unless mapping sends the graph onto the letter graph of (decoder, word).
+
+    mapping assigns each vertex a 1-based word position.  The vertex at
+    position p must be adjacent to exactly the vertices at later positions
+    whose letter b has (w_p, b) in the decoder and at earlier positions
+    whose letter b has (b, w_p) in it; both sides are compared as bitmask
+    rows over vertex indices.  When a coloring is given every vertex's
+    letter must match its position's letter.
+    """
+    n = graph.n
+    if len(word) != n or sorted(mapping) != sorted(graph.vertices) \
+            or sorted(mapping.values()) != list(range(1, n + 1)):
+        raise InternalConsistencyError("solution does not map vertices onto word positions")
+    at = [0] * n
+    for v, p in mapping.items():
+        at[p - 1] = graph.index(v)
+    letter_masks: dict[str, int] = {}
+    for p, c in enumerate(word):
+        letter_masks[c] = letter_masks.get(c, 0) | (1 << at[p])
+    sees_later = dict.fromkeys(letter_masks, 0)
+    sees_earlier = dict.fromkeys(letter_masks, 0)
+    for a, b in decoder:
+        if a in sees_later:
+            sees_later[a] |= letter_masks.get(b, 0)
+        if b in sees_earlier:
+            sees_earlier[b] |= letter_masks.get(a, 0)
+    adj = graph.adjacency_masks()
+    wrong = [0] * n
+    later = 0
+    for p in range(n - 1, -1, -1):
+        v, c = at[p], word[p]
+        earlier = ((1 << n) - 1) ^ later ^ (1 << v)
+        wrong[v] = adj[v] ^ ((later & sees_later[c]) | (earlier & sees_earlier[c]))
+        later |= 1 << v
+    for i, row in enumerate(wrong):
+        if row:
+            # Both rows are symmetric, so the first wrong row's lowest bit
+            # lies above i: this is the first wrong pair in vertex order.
+            u, v = graph.vertices[i], graph.vertices[(row & -row).bit_length() - 1]
+            raise InternalConsistencyError(f"solution misrepresents the pair {u},{v}")
+    if coloring is not None:
+        for v in graph.vertices:
+            if word[mapping[v] - 1] != coloring[v]:
+                raise InternalConsistencyError(f"solution word disagrees with the coloring at {v}")

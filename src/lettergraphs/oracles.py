@@ -3,8 +3,9 @@
 These exist to pin down ground truth at small sizes: minimum alphabet
 realizations (plain and symmetric), complete decoder enumeration, the
 three-part block characterization of decoder solutions, and permutation
-isomorphism search.  Every search carries a hard size guard and fails fast
-with SizeLimitError instead of running unbounded.
+searches for word realizations and isomorphisms.  Every search carries a
+hard size guard and fails fast with SizeLimitError instead of running
+unbounded.
 
 The realization searches enumerate colorings up to letter renaming (first
 occurrence order is canonical) and decoders over the chosen letters, and
@@ -25,17 +26,10 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .decoder_retrieval import (
-    _Survey,
-    _validate_instance,
-    block_subinstance,
-    pair_subinstance,
-    verify_decoder,
-    within_subinstance,
-)
+from .decoder_retrieval import DecoderInstance, PairKind
 from .errors import MalformedInstanceError, SizeLimitError
 from .graphs import Coloring, Graph
-from .letters import Decoder, Word, count_runs, normalize_decoder, project_word
+from .letters import Decoder, Word, normalize_decoder
 from .word_retrieval import retrieve_word
 
 ORACLE_LETTERS = "abcdef"
@@ -44,6 +38,7 @@ MAX_ORACLE_LETTERS = 6
 MAX_LEVEL_CANDIDATES = 1 << 27
 MAX_ENUMERATION_LETTERS = 4
 MAX_ISOMORPHISM_VERTICES = 8
+MAX_WORD_ORACLE_VERTICES = 7
 
 
 @dataclass(frozen=True)
@@ -239,11 +234,11 @@ def brute_symmetric_lettericity(graph: Graph, k_max: int,
 
 
 def _verify_mask_range(args):
-    graph, coloring, word, slots, start, stop = args
+    inst, slots, start, stop = args
     hits = []
     for mask in range(start, stop):
         decoder = _mask_decoder(slots, mask, symmetric=False)
-        if verify_decoder(graph, coloring, word, decoder):
+        if inst.realizes(decoder):
             hits.append(decoder)
     return hits
 
@@ -252,11 +247,12 @@ def enumerate_decoders(graph: Graph, coloring: Coloring, word: Sequence[str],
                        jobs: int = 1) -> list[Decoder]:
     """All decoders over the alphabet that realize the graph from the word.
 
-    Checks every subset of the alphabet's ordered pairs with the verifier;
-    the alphabet may have at most 4 letters (65536 candidates).  Results
-    come sorted by their sorted pair tuples.
+    Checks every subset of the alphabet's ordered pairs with the verifier,
+    on one instance built up front; the alphabet may have at most 4 letters
+    (65536 candidates).  Results come sorted by their sorted pair tuples.
     """
-    _validate_instance(graph, coloring, word)
+    inst = DecoderInstance(graph, coloring, word)
+    inst.require_used_letters()
     k = len(coloring.alphabet)
     if k > MAX_ENUMERATION_LETTERS:
         raise SizeLimitError(
@@ -266,51 +262,45 @@ def enumerate_decoders(graph: Graph, coloring: Coloring, word: Sequence[str],
     total = 1 << len(slots)
     if jobs > 1 and total >= 1 << 12:
         chunk = (total + jobs - 1) // jobs
-        tasks = [(graph, coloring, word, slots, start, min(start + chunk, total))
+        tasks = [(inst, slots, start, min(start + chunk, total))
                  for start in range(0, total, chunk)]
         with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
             found = [d for hits in pool.map(_verify_mask_range, tasks) for d in hits]
     else:
-        found = _verify_mask_range((graph, coloring, word, slots, 0, total))
+        found = _verify_mask_range((inst, slots, 0, total))
     return sorted(found, key=lambda d: tuple(sorted(d)))
 
 
 def characterization_check(graph: Graph, coloring: Coloring, word: Sequence[str],
                            decoder) -> bool:
     """Blockwise test of a decoder: within-letter, settled pairs, and the
-    per-letter one-sided blocks must each verify on their own subinstance.
+    per-letter one-sided blocks must each verify on their own block.
 
     Requires every one-sided pair's projection to have at least two runs of
     one of its letters; instances violating that are rejected as malformed
     (they are already known to have no solution at all).
     """
-    _validate_instance(graph, coloring, word)
+    inst = DecoderInstance(graph, coloring, word)
+    inst.require_used_letters()
     d = normalize_decoder(decoder)
-    survey = _Survey(graph, coloring, word)
-    one_sided = survey.one_sided()
-    for a, b in one_sided:
-        p = project_word(word, {a, b})
-        if count_runs(p, a) < 2 and count_runs(p, b) < 2:
+    for a, b in inst.one_sided():
+        runs = inst.pair_word(a, b).runs
+        if runs[a] < 2 and runs[b] < 2:
             raise MalformedInstanceError(
                 f"one-sided pair {a}{b} has a single run of each letter")
 
-    for a in survey.letters:
-        sub = within_subinstance(graph, coloring, word, a)
-        if not verify_decoder(*sub, d & {(a, a)}):
+    for a in inst.letters:
+        if not inst.realizes_block(a, (a,), d & {(a, a)}):
             return False
-    for a, b in sorted(survey.pair_kind):
-        if survey.is_one_sided(a, b):
+    for (a, b), kind in inst.pair_kinds.items():
+        if kind is PairKind.ONE_SIDED:
             continue
-        sub = pair_subinstance(graph, coloring, word, a, b)
-        if not verify_decoder(*sub, d & {(a, b), (b, a)}):
+        if not inst.realizes_block(a, (b,), d & {(a, b), (b, a)}):
             return False
-    for a in survey.letters:
-        block = [b for b in survey.letters
-                 if b != a and survey.is_one_sided(a, b)
-                 and count_runs(project_word(word, {a, b}), a) >= 2]
-        sub = block_subinstance(graph, coloring, word, a, block)
+    for a in inst.letters:
+        block = [b for b in inst.partners(a) if inst.pair_word(a, b).runs[a] >= 2]
         allowed = {(a, b) for b in block} | {(b, a) for b in block}
-        if not verify_decoder(*sub, d & allowed):
+        if not inst.realizes_block(a, block, d & allowed):
             return False
     return True
 
@@ -329,3 +319,21 @@ def brute_isomorphism(g: Graph, h: Graph) -> Optional[dict[str, str]]:
         if all(adj_h[perm[i]] >> perm[j] & 1 for i, j in g_edges):
             return {g.vertices[i]: h.vertices[perm[i]] for i in range(n)}
     return None
+
+
+def brute_word_realization(graph: Graph, coloring: Coloring, decoder) -> bool:
+    """Whether some vertex order realizes the graph under the coloring and
+    decoder, by trying every permutation; at most 7 vertices."""
+    n = graph.n
+    if n > MAX_WORD_ORACLE_VERTICES:
+        raise SizeLimitError(
+            f"word realization search handles at most {MAX_WORD_ORACLE_VERTICES} vertices, got {n}")
+    adj = graph.adjacency_masks()
+    letters = [coloring[v] for v in graph.vertices]
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    d = set(decoder)
+    for perm in itertools.permutations(range(n)):
+        if all((adj[perm[i]] >> perm[j] & 1) == ((letters[perm[i]], letters[perm[j]]) in d)
+               for i, j in pairs):
+            return True
+    return False

@@ -118,6 +118,27 @@ def test_malformed_instance_exit_2(capsys, tmp_path):
     assert code == 2
 
 
+def test_unparseable_instance_exit_2(capsys, tmp_path):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100000 + "]" * 100000)
+    latin = tmp_path / "latin.json"
+    latin.write_bytes(b'{"graph": {"vertices": ["\xe9"]}}')
+    for path in (deep, latin):
+        code, doc = run(capsys, ["nd", str(path)])
+        assert code == 2 and doc["status"] == "error"
+
+
+def test_unexpected_exception_exit_70(banane_path, capsys, monkeypatch):
+    def boom(doc, args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setitem(cli._HANDLERS, "nd", boom)
+    code = main(["nd", banane_path])
+    err = capsys.readouterr().err
+    assert code == 70
+    assert "internal error: RuntimeError: boom" in err
+
+
 def test_missing_fields_exit_2(capsys, tmp_path):
     path = tmp_path / "graph_only.json"
     path.write_text('{"graph": {"vertices": ["x"]}}')

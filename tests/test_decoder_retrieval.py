@@ -3,12 +3,9 @@ from hypothesis import given, settings, strategies as st
 
 from lettergraphs import (Coloring, Graph, MalformedInstanceError, decode,
                           enumerate_decoders, retrieve_decoder, verify_decoder)
-from lettergraphs.decoder_retrieval import (PairKind, PairStatus,
-                                            block_subinstance, build_formula,
-                                            cascade_word, classify_pair,
-                                            forced_pair_word,
-                                            pair_subinstance,
-                                            within_subinstance)
+from lettergraphs.decoder_retrieval import (DecoderInstance, PairKind,
+                                            PairStatus, build_formula,
+                                            cascade_word, forced_pair_word)
 from instances import (banane_instance, bijection_verifies, cascade_instance,
                        forced_instance, random_realizable)
 
@@ -73,78 +70,99 @@ class TestVerifyDecoder:
         assert got == bijection_verifies(graph, coloring, word, decoder)
 
 
+def sub_instance(graph, coloring, word, center, partners):
+    """The block of center and partners as a Graph and Coloring of its own:
+    their vertices, only the center-to-partner edges (the center's inner
+    edges when it is its own sole partner), and the projected word."""
+    letters = {center, *partners}
+
+    def kept(u, v):
+        cu, cv = coloring[u], coloring[v]
+        if partners == (center,):
+            return cu == cv == center
+        return {cu, cv} <= letters and (cu == center) != (cv == center)
+
+    keep = [v for v in graph.vertices if coloring[v] in letters]
+    edges = [(u, v) for u, v in graph.edge_list() if kept(u, v)]
+    sub_coloring = Coloring({v: coloring[v] for v in keep},
+                            [c for c in coloring.alphabet if c in letters])
+    return Graph(keep, edges), sub_coloring, tuple(c for c in word if c in letters)
+
+
 class TestPairMachinery:
     def test_classify_forced_pair(self):
-        graph, coloring, word = forced_instance()
-        pair_class, profile = classify_pair(graph, coloring, word, "a", "b")
-        assert pair_class.kind is PairKind.ONE_SIDED
-        assert (pair_class.edge_count, pair_class.capacity) == (4, 9)
-        assert profile.letters == ("a", "b")
-        assert (profile.a_runs, profile.b_runs) == (3, 2)
-        assert not profile.palindrome
-        assert profile.universal_count == 1
-        assert profile.isolated_count == 1
-        assert (profile.first_run_len, profile.last_run_len) == (1, 1)
-        assert not profile.swapped
+        inst = DecoderInstance(*forced_instance())
+        assert inst.kind("a", "b") is PairKind.ONE_SIDED
+        assert inst.kind("b", "a") is PairKind.ONE_SIDED
+        assert inst.within == {"a": "independent", "b": "independent"}
+        pair = inst.pair_word("a", "b")
+        assert pair.word == tuple("abbaba")
+        assert pair.runs == {"a": 3, "b": 2}
+        assert not pair.palindrome
+        assert inst.pair_word("b", "a") is pair
 
     def test_classify_full_and_empty(self):
-        g = Graph(["a1", "b1", "c1"], [("a1", "b1")])
-        c = Coloring({"a1": "a", "b1": "b", "c1": "c"}, ("a", "b", "c"))
-        w = tuple("abc")
-        assert classify_pair(g, c, w, "a", "b")[0].kind is PairKind.FULL
-        assert classify_pair(g, c, w, "a", "c")[0].kind is PairKind.EMPTY
+        g = Graph(["a1", "a2", "b1", "c1"], [("a1", "a2"), ("a1", "b1"), ("a2", "b1")])
+        c = Coloring({"a1": "a", "a2": "a", "b1": "b", "c1": "c"}, ("a", "b", "c"))
+        inst = DecoderInstance(g, c, tuple("aabc"))
+        assert inst.kind("a", "b") is PairKind.FULL
+        assert inst.kind("a", "c") is PairKind.EMPTY
+        assert inst.one_sided() == []
+        assert inst.within == {"a": "clique", "b": "independent", "c": "independent"}
         with pytest.raises(MalformedInstanceError):
-            classify_pair(g, c, w, "a", "a")
+            inst.kind("a", "a")
         with pytest.raises(MalformedInstanceError):
-            classify_pair(g, c, w, "a", "z")
+            inst.kind("a", "z")
 
-    def test_profile_normalizes_to_first_projected_letter(self):
-        g = Graph(["a1", "b1", "b2"], [("a1", "b1")])
-        c = Coloring({"a1": "a", "b1": "b", "b2": "b"}, ("a", "b"))
-        _, profile = classify_pair(g, c, tuple("bab"), "a", "b")
-        assert profile.letters == ("b", "a")
-        assert profile.swapped
-
-    def test_subinstances(self):
-        graph, coloring, word = cascade_instance()
-        sub_g, sub_c, sub_w = pair_subinstance(graph, coloring, word, "a", "b")
-        assert set(sub_g.vertices) == {"a1", "b1", "b2", "b3"}
-        assert set(sub_g.edge_list()) == {("a1", "b1"), ("a1", "b2")}
-        assert sub_w == tuple("bbab")
-        assert sub_c.alphabet == ("a", "b")
-
-        sub_g, _, sub_w = within_subinstance(graph, coloring, word, "b")
-        assert set(sub_g.vertices) == {"b1", "b2", "b3"}
-        assert sub_g.edge_count == 0
-        assert sub_w == tuple("bbb")
-
-        sub_g, sub_c, sub_w = block_subinstance(graph, coloring, word, "b", ("a", "c"))
-        assert sub_g.n == 6
-        assert set(sub_g.edge_list()) == set(graph.edge_list())
-        assert sub_w == word
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(min_value=1, max_value=7), st.integers(min_value=1, max_value=4),
+           st.randoms(use_true_random=False))
+    def test_subinstances(self, n, k, rng):
+        # The masked block check accepts exactly the decoders that
+        # verify_decoder accepts on the block built as a separate graph.
+        k = min(k, n)
+        graph, coloring, word, generating = random_realizable(rng, n, k)
+        if rng.random() < 0.5:
+            word = tuple(sorted(word, key=lambda _: rng.random()))
+        inst = DecoderInstance(graph, coloring, word)
+        letters = sorted(coloring.alphabet)
+        center = rng.choice(letters)
+        others = [b for b in letters if b != center]
+        partners = (center,) if rng.random() < 0.25 else \
+            tuple(rng.sample(others, rng.randint(0, len(others))))
+        sub = sub_instance(graph, coloring, word, center, partners)
+        block = {center, *partners}
+        pairs = [(a, b) for a in sorted(block) for b in sorted(block)]
+        # The generating decoder's pairs between center and partners realize
+        # the block unless the word was shuffled; the rest are random.
+        kept = {(center, b) for b in partners} | {(b, center) for b in partners}
+        decoders = [frozenset(generating & kept)]
+        decoders += [frozenset(p for p in pairs if rng.random() < 0.5) for _ in range(7)]
+        for decoder in decoders:
+            assert inst.realizes_block(center, partners, decoder) == \
+                verify_decoder(*sub, decoder)
 
     def test_forced_pair_word_orientations(self):
-        graph, coloring, word = forced_instance()
-        assert forced_pair_word(graph, coloring, word, "a", "b") == \
-            (PairStatus.FORCED, ("a", "b"))
+        inst = DecoderInstance(*forced_instance())
+        assert forced_pair_word(inst, "a", "b") == (PairStatus.FORCED, ("a", "b"))
 
     def test_forced_pair_word_free_on_palindrome(self):
         g = Graph(["a1", "a2", "b1"], [("a1", "b1")])
         c = Coloring({"a1": "a", "a2": "a", "b1": "b"}, ("a", "b"))
-        assert forced_pair_word(g, c, tuple("aba"), "a", "b") == \
+        assert forced_pair_word(DecoderInstance(g, c, tuple("aba")), "a", "b") == \
             (PairStatus.FREE, None)
 
     def test_forced_pair_word_infeasible(self):
         # two disjoint cross edges over word abab fit neither orientation
         g = Graph(["a1", "a2", "b1", "b2"], [("a1", "b1"), ("a2", "b2")])
         c = Coloring({"a1": "a", "a2": "a", "b1": "b", "b2": "b"}, ("a", "b"))
-        assert forced_pair_word(g, c, tuple("abab"), "a", "b") == \
+        assert forced_pair_word(DecoderInstance(g, c, tuple("abab")), "a", "b") == \
             (PairStatus.INFEASIBLE, None)
 
     def test_cascade_word_propagates_and_refutes(self):
-        graph, coloring, word = cascade_instance()
-        assert cascade_word(graph, coloring, word, "a", "b", "c", ("b", "a")) == ("b", "c")
-        assert cascade_word(graph, coloring, word, "a", "b", "c", ("a", "b")) is None
+        inst = DecoderInstance(*cascade_instance())
+        assert cascade_word(inst, "a", "b", "c", ("b", "a")) == ("b", "c")
+        assert cascade_word(inst, "a", "b", "c", ("a", "b")) is None
 
 
 class TestBuildFormula:

@@ -2,9 +2,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from lettergraphs import Coloring, Graph, MalformedInstanceError
-from lettergraphs.graphs import (are_generalized_twins, bipartite_edges,
-                                 check_token, check_total_coloring,
-                                 color_masks, induced_subgraph)
+from lettergraphs.graphs import (are_generalized_twins, check_token,
+                                 check_total_coloring, color_masks)
 
 
 def test_vertices_keep_declaration_order():
@@ -69,22 +68,6 @@ def test_generalized_twins():
         are_generalized_twins(p3, "1", "1")
 
 
-def test_induced_subgraph():
-    g = Graph(["1", "2", "3", "4"], [("1", "2"), ("2", "3"), ("3", "4"), ("1", "4")])
-    sub = induced_subgraph(g, ["4", "1", "2"])
-    assert sub.vertices == ("1", "2", "4")
-    assert set(sub.edge_list()) == {("1", "2"), ("1", "4")}
-    with pytest.raises(MalformedInstanceError):
-        induced_subgraph(g, ["nope"])
-
-
-def test_bipartite_edges():
-    g = Graph(["a1", "a2", "b1"], [("a1", "b1"), ("a1", "a2")])
-    assert bipartite_edges(g, ["a1", "a2"], ["b1"]) == frozenset({("a1", "b1")})
-    with pytest.raises(MalformedInstanceError):
-        bipartite_edges(g, ["a1"], ["a1", "b1"])
-
-
 def test_coloring_groups_and_alphabet_inference():
     c = Coloring({"v": "a", "u": "b", "w": "a"})
     assert c.alphabet == ("a", "b")
@@ -100,15 +83,6 @@ def test_coloring_explicit_alphabet_allows_unused_letters():
         Coloring({"v": "z"}, ("a", "b"))
     with pytest.raises(MalformedInstanceError):
         Coloring({"v": "a"}, ("a", "a"))
-
-
-def test_coloring_restrict():
-    c = Coloring({"x": "a", "y": "b", "z": "a"}, ("a", "b"))
-    r = c.restrict(["x", "z"])
-    assert r.alphabet == ("a",)
-    assert r.assignment == {"x": "a", "z": "a"}
-    with pytest.raises(MalformedInstanceError):
-        c.restrict(["missing"])
 
 
 def test_check_total_coloring():

@@ -10,9 +10,10 @@ from lettergraphs import (Coloring, Graph, MalformedInstanceError,
                           verify_decoder)
 from lettergraphs.oracles import (_decoder_slots, _edge_bound_tables,
                                   _mask_decoder, _stirling2,
-                                  _surjective_colorings)
+                                  _surjective_colorings,
+                                  brute_word_realization)
 from instances import (bijection_verifies, forced_instance, random_graph,
-                       random_realizable)
+                       random_realizable, realization_exists)
 
 
 def p4():
@@ -201,6 +202,28 @@ class TestCharacterization:
             assert not verify_decoder(graph, coloring, word, decoder)
             return
         assert blockwise == verify_decoder(graph, coloring, word, decoder)
+
+
+class TestBruteWordRealization:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(min_value=1, max_value=7), st.integers(min_value=1, max_value=3),
+           st.randoms(use_true_random=False), st.booleans())
+    def test_agrees_with_reference(self, n, k, rng, flip):
+        k = min(k, n)
+        graph, coloring, _, decoder = random_realizable(rng, n, k)
+        if flip and n >= 2:
+            u, v = rng.sample(graph.vertices, 2)
+            edges = [e for e in graph.edge_list() if set(e) != {u, v}]
+            if not graph.has_edge(u, v):
+                edges.append((u, v))
+            graph = Graph(graph.vertices, edges)
+        assert brute_word_realization(graph, coloring, decoder) == \
+            realization_exists(graph, coloring, decoder)
+
+    def test_guard(self):
+        g = Graph([f"v{i}" for i in range(8)])
+        with pytest.raises(SizeLimitError):
+            brute_word_realization(g, Coloring({v: "a" for v in g.vertices}), [])
 
 
 class TestBruteIsomorphism:
