@@ -2,94 +2,133 @@
 
 The letter graph of (D, w) is fully determined, so a valid coloring is
 exactly an isomorphism from G onto it: map each vertex to a position and
-read the position's letter.  Finding one is graph isomorphism, done here by
-neighborhood refinement with backtracking individualization, which is exact
-and fast at the instance sizes this package targets.
+read the position's letter.  Finding one is graph isomorphism.  Generalized
+twins are interchangeable, so the search runs on the twin quotients (one
+vertex per twin class, colored by the class size and kind, two classes
+adjacent when fully joined): colored refinement with backtracking
+individualization matches the quotients, on an explicit stack so that no
+frame depth grows with the graph, and each matched class pair is then
+paired off member by member.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
+from .diversity import twin_partition
 from .errors import MalformedInstanceError
 from .graphs import Coloring, Graph
 from .letters import Decoder, Word, as_word, decode, normalize_decoder
+
+Labels = list[int]
+
+
+def _refine(nbrs_g: list[list[int]], nbrs_h: list[list[int]], labels_g: Labels,
+            labels_h: Labels, cells: int) -> Optional[tuple[Labels, Labels, int]]:
+    """The stable partition of both labelings, or None if they part ways.
+
+    Each round relabels every vertex by the rank of its signature (own label
+    plus the sorted neighbor labels) among the signatures of both graphs, so
+    one palette names the cells of both; the two signature censuses must
+    agree.  `cells` is the number of labels in use, 0..cells-1.
+    """
+    while True:
+        sig_g = [(labels_g[i], tuple(sorted(labels_g[j] for j in nbrs)))
+                 for i, nbrs in enumerate(nbrs_g)]
+        sig_h = [(labels_h[i], tuple(sorted(labels_h[j] for j in nbrs)))
+                 for i, nbrs in enumerate(nbrs_h)]
+        census = Counter(sig_g)
+        if census != Counter(sig_h):
+            return None
+        relabel = {sig: k for k, sig in enumerate(sorted(census))}
+        labels_g = [relabel[s] for s in sig_g]
+        labels_h = [relabel[s] for s in sig_h]
+        if len(relabel) == cells:
+            return labels_g, labels_h, cells
+        cells = len(relabel)
+
+
+def _match(nbrs_g: list[list[int]], nbrs_h: list[list[int]],
+           labels_g: Labels, labels_h: Labels, cells: int) -> Optional[list[int]]:
+    """A label- and edge-preserving bijection g -> h as an image list, or None.
+
+    Refinement plus individualization with backtracking on an explicit
+    stack.  Deterministic: the first smallest open cell and its lowest-index
+    vertex are individualized first, candidate images in index order.
+    """
+    rows_h = [sum(1 << j for j in nbrs) for nbrs in nbrs_h]
+    stack: list[tuple[Labels, Labels, int, int, Iterator[int]]] = []
+    state = _refine(nbrs_g, nbrs_h, labels_g, labels_h, cells)
+    while True:
+        if state is not None:
+            labels_g, labels_h, cells = state
+            cells_g: dict[int, list[int]] = {}
+            cells_h: dict[int, list[int]] = {}
+            for i, label in enumerate(labels_g):
+                cells_g.setdefault(label, []).append(i)
+            for i, label in enumerate(labels_h):
+                cells_h.setdefault(label, []).append(i)
+            open_cells = [(len(vs), label) for label, vs in cells_g.items() if len(vs) > 1]
+            if open_cells:
+                _, label = min(open_cells)
+                stack.append((labels_g, labels_h, cells, cells_g[label][0],
+                              iter(cells_h[label])))
+            else:
+                image = [0] * len(labels_g)
+                for label, (v,) in cells_g.items():
+                    image[v] = cells_h[label][0]
+                if all(sum(1 << image[j] for j in nbrs) == rows_h[image[i]]
+                       for i, nbrs in enumerate(nbrs_g)):
+                    return image
+        state = None
+        while state is None:
+            if not stack:
+                return None
+            labels_g, labels_h, cells, v, images = stack[-1]
+            u = next(images, None)
+            if u is None:
+                stack.pop()
+                continue
+            next_g = list(labels_g)
+            next_h = list(labels_h)
+            next_g[v] = cells
+            next_h[u] = cells
+            state = _refine(nbrs_g, nbrs_h, next_g, next_h, cells + 1)
+
+
+def _quotient(graph: Graph) -> tuple[tuple[tuple[str, ...], ...], list[tuple[int, str]],
+                                     list[list[int]]]:
+    """Twin classes, their (size, kind) colors and the class neighbor lists."""
+    part = twin_partition(graph)
+    colors = [(len(block), kind) for block, kind in zip(part.blocks, part.kinds)]
+    nbrs = [[j for j, joined in enumerate(row) if joined] for row in part.adjacency]
+    return part.blocks, colors, nbrs
 
 
 def find_isomorphism(g: Graph, h: Graph) -> Optional[dict[str, str]]:
     """An isomorphism from g onto h as a vertex mapping, or None.
 
-    Vertices are partitioned by iterated signatures (own block plus the
-    multiset of neighbor blocks); when the stable partition still has
-    non-singleton blocks, one vertex is individualized and every candidate
-    image is tried.  Deterministic: the first smallest non-singleton block
-    and its lowest-index vertex are individualized first, candidate images
-    in index order.
+    Both graphs are reduced to their twin quotients, whose vertices are the
+    generalized-twin classes colored by (size, kind) and whose edges join
+    fully joined classes.  The quotients are matched by colored refinement
+    with individualization (see `_match`), and the i-th vertex of each class
+    B is mapped to the i-th vertex of its image class f(B); twins are
+    interchangeable, so any such pairing is an isomorphism.
     """
-    n = g.n
-    if h.n != n or g.edge_count != h.edge_count:
+    if h.n != g.n or g.edge_count != h.edge_count:
         return None
-    if n == 0:
-        return {}
-    adj_g = g.adjacency_masks()
-    adj_h = h.adjacency_masks()
-    nbrs_g = [[j for j in range(n) if adj_g[i] >> j & 1] for i in range(n)]
-    nbrs_h = [[j for j in range(n) if adj_h[i] >> j & 1] for i in range(n)]
-
-    def refine(labels_g: list[int], labels_h: list[int]):
-        while True:
-            sig_g = [(labels_g[i], tuple(sorted(labels_g[j] for j in nbrs_g[i])))
-                     for i in range(n)]
-            sig_h = [(labels_h[i], tuple(sorted(labels_h[j] for j in nbrs_h[i])))
-                     for i in range(n)]
-            census = Counter(sig_g)
-            if census != Counter(sig_h):
-                return None
-            relabel = {sig: k for k, sig in enumerate(sorted(census))}
-            new_g = [relabel[s] for s in sig_g]
-            new_h = [relabel[s] for s in sig_h]
-            if len(relabel) == len(set(labels_g)):
-                return new_g, new_h
-            labels_g, labels_h = new_g, new_h
-
-    def solve(labels_g: list[int], labels_h: list[int]) -> Optional[list[int]]:
-        refined = refine(labels_g, labels_h)
-        if refined is None:
-            return None
-        labels_g, labels_h = refined
-        blocks_g: dict[int, list[int]] = {}
-        blocks_h: dict[int, list[int]] = {}
-        for i in range(n):
-            blocks_g.setdefault(labels_g[i], []).append(i)
-            blocks_h.setdefault(labels_h[i], []).append(i)
-        open_blocks = sorted((len(vs), label) for label, vs in blocks_g.items() if len(vs) > 1)
-        if not open_blocks:
-            mapping = [0] * n
-            for label, vs in blocks_g.items():
-                mapping[vs[0]] = blocks_h[label][0]
-            for i in range(n):
-                for j in nbrs_g[i]:
-                    if not adj_h[mapping[i]] >> mapping[j] & 1:
-                        return None
-            return mapping
-        _, label = open_blocks[0]
-        fresh = len(set(labels_g))
-        v = blocks_g[label][0]
-        for u in blocks_h[label]:
-            next_g = list(labels_g)
-            next_h = list(labels_h)
-            next_g[v] = fresh
-            next_h[u] = fresh
-            mapping = solve(next_g, next_h)
-            if mapping is not None:
-                return mapping
+    blocks_g, colors_g, nbrs_g = _quotient(g)
+    blocks_h, colors_h, nbrs_h = _quotient(h)
+    if Counter(colors_g) != Counter(colors_h):
         return None
-
-    mapping = solve([0] * n, [0] * n)
-    if mapping is None:
+    palette = {color: k for k, color in enumerate(sorted(set(colors_g)))}
+    image = _match(nbrs_g, nbrs_h, [palette[c] for c in colors_g],
+                   [palette[c] for c in colors_h], len(palette))
+    if image is None:
         return None
-    return {g.vertices[i]: h.vertices[mapping[i]] for i in range(n)}
+    lifted = {u: v for block, k in zip(blocks_g, image) for u, v in zip(block, blocks_h[k])}
+    return {v: lifted[v] for v in g.vertices}
 
 
 def retrieve_coloring(graph: Graph, alphabet: Sequence[str],

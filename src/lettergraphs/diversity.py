@@ -37,9 +37,11 @@ def twin_partition(graph: Graph) -> TwinPartition:
     """Partition the vertices into generalized-twin classes.
 
     Vertices are grouped by equal open or equal closed neighborhoods (either
-    match merges, transitively); a pairwise verification pass inside each
-    block then guards the equivalence, and the block structure checks are
-    asserted rather than assumed.
+    match merges, transitively).  The grouping is then checked rather than
+    assumed, with a linear number of bitmask operations: each member's row
+    against its block's first member outside the block and against the
+    clique or independent pattern inside it, and each pair of blocks with an
+    edge between them once, on one representative row.
     """
     n = graph.n
     adj = graph.adjacency_masks()
@@ -74,51 +76,46 @@ def twin_partition(graph: Graph) -> TwinPartition:
     for i in range(n):
         members.setdefault(find(i), []).append(i)
     blocks = [sorted(vs) for _, vs in sorted(members.items())]
+    masks = [sum(1 << i for i in block) for block in blocks]
 
-    for block in blocks:
-        for pos, i in enumerate(block):
-            for j in block[pos + 1:]:
-                if adj[i] & ~(1 << j) != adj[j] & ~(1 << i):
-                    raise InternalConsistencyError(
-                        "grouped vertices are not generalized twins"
-                    )
-
+    # Every member must agree with the block's first member outside the
+    # block and be joined to all or none of the block inside it; together
+    # that is exactly "pairwise generalized twins, clique or independent".
     kinds = []
-    for block in blocks:
-        size = len(block)
-        inside = sum((adj[i] >> j & 1) for pos, i in enumerate(block) for j in block[pos + 1:])
-        if size >= 2 and inside == size * (size - 1) // 2:
-            kinds.append("clique")
-        elif inside == 0:
-            kinds.append("independent")
-        else:
-            raise InternalConsistencyError("twin class is neither clique nor independent")
+    for block, mask in zip(blocks, masks):
+        first = block[0]
+        outside = adj[first] & ~mask
+        clique = len(block) >= 2 and adj[first] & mask == mask ^ 1 << first
+        for i in block:
+            if adj[i] & ~mask != outside:
+                raise InternalConsistencyError("grouped vertices are not generalized twins")
+            if adj[i] & mask != (mask ^ 1 << i if clique else 0):
+                raise InternalConsistencyError("twin class is neither clique nor independent")
+        kinds.append("clique" if clique else "independent")
 
-    masks = [0] * len(blocks)
+    # Members share their outside rows, so one representative row decides
+    # each block pair; pairs with no edge at all need no test.
+    block_of = [0] * n
     for k, block in enumerate(blocks):
         for i in block:
-            masks[k] |= 1 << i
-    adjacency = []
+            block_of[i] = k
+    joined = [[False] * len(blocks) for _ in blocks]
+    later = (1 << n) - 1
     for k, block in enumerate(blocks):
-        row = []
-        for m, other in enumerate(blocks):
-            if k == m:
-                row.append(False)
-                continue
-            crossing = sum((adj[i] & masks[m]).bit_count() for i in block)
-            if crossing == len(block) * len(other):
-                row.append(True)
-            elif crossing == 0:
-                row.append(False)
-            else:
+        later ^= masks[k]
+        row = adj[block[0]] & later
+        while row:
+            m = block_of[(row & -row).bit_length() - 1]
+            if row & masks[m] != masks[m]:
                 raise InternalConsistencyError("twin classes are not uniformly joined")
-        adjacency.append(tuple(row))
+            joined[k][m] = joined[m][k] = True
+            row ^= masks[m]
 
     names = graph.vertices
     return TwinPartition(
         blocks=tuple(tuple(names[i] for i in block) for block in blocks),
         kinds=tuple(kinds),
-        adjacency=tuple(adjacency),
+        adjacency=tuple(map(tuple, joined)),
     )
 
 

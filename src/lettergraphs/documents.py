@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Any, Optional
 
 from .errors import MalformedInstanceError
-from .graphs import Coloring, Graph
+from .graphs import Coloring, Graph, check_token
 from .letters import Decoder, Word, as_word, normalize_decoder
 
 INSTANCE_FIELDS = ("graph", "alphabet", "coloring", "word", "decoder", "meta")
@@ -72,8 +72,9 @@ def parse_instance(text: str) -> InstanceDocument:
     coloring: Optional[Coloring] = None
     if "coloring" in raw:
         _expect(isinstance(raw["coloring"], dict), "coloring must be an object")
-        for v in raw["coloring"]:
+        for v, c in raw["coloring"].items():
             graph.index(v)
+            check_token(c, "letter")
         check_letters(raw["coloring"].values(), "coloring")
         coloring = Coloring(raw["coloring"], alphabet)
 

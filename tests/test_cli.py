@@ -80,6 +80,24 @@ def test_retrieve_coloring(banane_path, capsys):
     assert sorted(doc["isomorphism"].values()) == ["1", "2", "3", "4", "5", "6"]
 
 
+@pytest.mark.parametrize("complete", [False, True])
+def test_retrieve_coloring_on_one_twin_class(complete, capsys, tmp_path):
+    n = 1200
+    vertices = [f"v{i}" for i in range(n)]
+    edges = [[u, v] for i, u in enumerate(vertices) for v in vertices[i + 1:]] if complete else []
+    path = tmp_path / "one_class.json"
+    path.write_text(json.dumps({
+        "graph": {"vertices": vertices, "edges": edges},
+        "alphabet": ["a"],
+        "word": ["a"] * n,
+        "decoder": [["a", "a"]] if complete else [],
+    }))
+    code, doc = run(capsys, ["retrieve-coloring", str(path)])
+    assert code == 0
+    assert set(doc["coloring"].values()) == {"a"}
+    assert sorted(map(int, doc["isomorphism"].values())) == list(range(1, n + 1))
+
+
 def test_nd_and_lettericity(banane_path, capsys):
     code, doc = run(capsys, ["nd", banane_path])
     assert code == 0 and doc["neighborhood_diversity"] == 6
@@ -126,6 +144,13 @@ def test_unparseable_instance_exit_2(capsys, tmp_path):
     for path in (deep, latin):
         code, doc = run(capsys, ["nd", str(path)])
         assert code == 2 and doc["status"] == "error"
+
+
+def test_non_token_coloring_value_exit_2(capsys, tmp_path):
+    path = tmp_path / "list_letter.json"
+    path.write_text('{"graph": {"vertices": ["x"]}, "alphabet": ["a"], "coloring": {"x": ["a"]}}')
+    code, doc = run(capsys, ["nd", str(path)])
+    assert code == 2 and doc["status"] == "error"
 
 
 def test_unexpected_exception_exit_70(banane_path, capsys, monkeypatch):

@@ -1,3 +1,6 @@
+import random
+import sys
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -132,3 +135,66 @@ def test_agrees_with_permutation_search(n, rng, relabel):
     assert (got is None) == (expected is None)
     if got is not None:
         check_isomorphism(g, h, got)
+
+
+def blow_up(base, classes, rng, prefix):
+    """Replace base vertex i by a twin class of classes[i] = (size, clique)
+    vertices, joined fully to the classes of its base neighbors, and declare
+    the vertices in random order."""
+    members = [[f"{prefix}{i}_{j}" for j in range(size)] for i, (size, _) in enumerate(classes)]
+    edges = [(u, v) for block, (_, clique) in zip(members, classes) if clique
+             for j, u in enumerate(block) for v in block[j + 1:]]
+    edges += [(u, v) for a, b in base.edge_list()
+              for u in members[base.index(a)] for v in members[base.index(b)]]
+    vertices = [v for block in members for v in block]
+    rng.shuffle(vertices)
+    return Graph(vertices, edges)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(min_value=0, max_value=6), st.randoms(use_true_random=False),
+       st.sampled_from(["relabel", "permute classes", "other base"]))
+def test_twin_blow_ups(n, rng, variant):
+    base = random_graph(rng, n)
+    classes = [(rng.randint(1, 4), rng.random() < 0.5) for _ in range(n)]
+    g = blow_up(base, classes, rng, "g")
+    if variant == "relabel":
+        h = blow_up(base, classes, rng, "h")
+    elif variant == "permute classes":
+        # same base and class census, sizes and kinds dealt to other vertices
+        h = blow_up(base, rng.sample(classes, n), rng, "h")
+    else:
+        h = blow_up(random_graph(rng, n), rng.sample(classes, n), rng, "h")
+    got = find_isomorphism(g, h)
+    if variant == "relabel":
+        assert got is not None
+    if got is not None:
+        check_isomorphism(g, h, got)
+    if g.n <= 8:
+        assert (got is None) == (brute_isomorphism(g, h) is None)
+
+
+def disjoint_paths(copies, prefix, rng):
+    """Disjoint copies of the path on three vertices, declared in random order."""
+    edges = [(f"{prefix}{c}{end}", f"{prefix}{c}m") for c in range(copies) for end in "ab"]
+    vertices = [f"{prefix}{c}{x}" for c in range(copies) for x in "amb"]
+    rng.shuffle(vertices)
+    return Graph(vertices, edges)
+
+
+def test_search_depth_does_not_grow_with_the_graph():
+    # Refinement leaves one cell of 300 path centers; each individualization
+    # settles one path, so the search goes at least 300 levels deep.
+    rng = random.Random(3)
+    g, h = disjoint_paths(300, "g", rng), disjoint_paths(300, "h", rng)
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 100)
+    try:
+        mapping = find_isomorphism(g, h)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert mapping is not None
+    check_isomorphism(g, h, mapping)

@@ -108,3 +108,8 @@ def test_twin_blocks_are_maximal(n, rng):
         for v in g.vertices[i + 1:]:
             same = members[u] == members[v]
             assert same == are_generalized_twins(g, u, v)
+    for k, block in enumerate(partition.blocks):
+        inside = {g.has_edge(u, v) for i, u in enumerate(block) for v in block[i + 1:]}
+        assert partition.kinds[k] == ("clique" if inside == {True} else "independent")
+        for m, other in enumerate(partition.blocks):
+            assert partition.adjacency[k][m] == (m != k and g.has_edge(block[0], other[0]))
