@@ -16,6 +16,7 @@ retrieved coloring's isomorphism is checked edge by edge.
 from __future__ import annotations
 
 import argparse
+import os
 import random
 import string
 import sys
@@ -161,24 +162,6 @@ def _cmd_nd(doc: InstanceDocument, args) -> tuple[dict, int]:
     return payload, EXIT_SOLUTION
 
 
-def _witness_mapping(graph: Graph, coloring: Coloring, word) -> dict[str, int]:
-    """Assign each vertex a word position of its own letter, in order.
-
-    Valid whenever same-letter vertices are interchangeable, which holds for
-    twin-partition witnesses by construction.
-    """
-    pending: dict[str, list[int]] = {}
-    for i, letter in enumerate(word):
-        pending.setdefault(letter, []).append(i + 1)
-    mapping = {}
-    for v in graph.vertices:
-        slots = pending.get(coloring[v])
-        if not slots:
-            raise InternalConsistencyError(f"witness word has too few {coloring[v]!r} letters")
-        mapping[v] = slots.pop(0)
-    return mapping
-
-
 def _cmd_sym_lettericity(doc: InstanceDocument, args) -> tuple[dict, int]:
     if doc.graph.n == 0:
         payload = {
@@ -192,8 +175,8 @@ def _cmd_sym_lettericity(doc: InstanceDocument, args) -> tuple[dict, int]:
         }
         return payload, EXIT_SOLUTION
     witness, ms = _timed(symmetric_witness, doc.graph)
-    mapping = _witness_mapping(doc.graph, witness.coloring, witness.word)
-    check_realization(doc.graph, mapping, witness.word, witness.decoder, witness.coloring)
+    check_realization(doc.graph, witness.mapping, witness.word, witness.decoder,
+                      witness.coloring)
     payload = {
         "status": "solution",
         "value": len(witness.alphabet),
@@ -321,6 +304,14 @@ _HANDLERS = {
 }
 
 
+def _jobs(text: str) -> int:
+    jobs = int(text)
+    cpus = os.cpu_count() or 1
+    if not 1 <= jobs <= cpus:
+        raise argparse.ArgumentTypeError(f"must be between 1 and the CPU count {cpus}")
+    return jobs
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="lettergraphs",
@@ -341,8 +332,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = instance_command("retrieve-decoder", "find a decoder realizing the graph")
     p.add_argument("--all", action="store_true",
                    help="enumerate every decoder instead of returning one")
-    p.add_argument("--jobs", type=int, default=1,
-                   help="worker processes for the exhaustive enumeration")
+    p.add_argument("--jobs", type=_jobs, default=1,
+                   help="worker processes for the exhaustive enumeration (1 to the CPU count)")
     instance_command("retrieve-coloring", "find a coloring matching a decoder and word")
     instance_command("verify", "check whether a word realizes the graph under a decoder")
     instance_command("nd", "compute the neighborhood diversity and twin classes")
@@ -350,8 +341,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = instance_command("lettericity", "exact lettericity by exhaustive search")
     p.add_argument("--max-k", type=int, required=True,
                    help="largest alphabet size to try")
-    p.add_argument("--jobs", type=int, default=1,
-                   help="worker processes for the exhaustive search")
+    p.add_argument("--jobs", type=_jobs, default=1,
+                   help="worker processes for the exhaustive search (1 to the CPU count)")
 
     p = sub.add_parser("gen", help="generate a random instance document")
     p.add_argument("--seed", type=int, default=0, help="random seed (default 0)")

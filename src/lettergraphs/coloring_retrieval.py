@@ -22,9 +22,10 @@ from .graphs import Coloring, Graph
 from .letters import Decoder, Word, as_word, decode, normalize_decoder
 
 Labels = list[int]
+Neighbors = Sequence[Sequence[int]]
 
 
-def _refine(nbrs_g: list[list[int]], nbrs_h: list[list[int]], labels_g: Labels,
+def _refine(nbrs_g: Neighbors, nbrs_h: Neighbors, labels_g: Labels,
             labels_h: Labels, cells: int) -> Optional[tuple[Labels, Labels, int]]:
     """The stable partition of both labelings, or None if they part ways.
 
@@ -49,7 +50,7 @@ def _refine(nbrs_g: list[list[int]], nbrs_h: list[list[int]], labels_g: Labels,
         cells = len(relabel)
 
 
-def _match(nbrs_g: list[list[int]], nbrs_h: list[list[int]],
+def _match(nbrs_g: Neighbors, nbrs_h: Neighbors,
            labels_g: Labels, labels_h: Labels, cells: int) -> Optional[list[int]]:
     """A label- and edge-preserving bijection g -> h as an image list, or None.
 
@@ -98,12 +99,11 @@ def _match(nbrs_g: list[list[int]], nbrs_h: list[list[int]],
 
 
 def _quotient(graph: Graph) -> tuple[tuple[tuple[str, ...], ...], list[tuple[int, str]],
-                                     list[list[int]]]:
+                                     Neighbors]:
     """Twin classes, their (size, kind) colors and the class neighbor lists."""
     part = twin_partition(graph)
     colors = [(len(block), kind) for block, kind in zip(part.blocks, part.kinds)]
-    nbrs = [[j for j, joined in enumerate(row) if joined] for row in part.adjacency]
-    return part.blocks, colors, nbrs
+    return part.blocks, colors, part.adjacency
 
 
 def find_isomorphism(g: Graph, h: Graph) -> Optional[dict[str, str]]:

@@ -29,7 +29,7 @@ from functools import cached_property
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .errors import InternalConsistencyError, MalformedInstanceError
-from .graphs import Coloring, Graph, check_total_coloring, color_masks
+from .graphs import Coloring, Graph, check_total_coloring, color_masks, members
 from .letters import (
     Decoder,
     Word,
@@ -42,16 +42,6 @@ from .letters import (
 from .twosat import TwoSatFormula, solve_2sat
 
 DirectedPair = tuple[str, str]
-
-
-def _members(mask: int) -> list[int]:
-    """Indices of the set bits of the mask, ascending."""
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
 
 
 class PairKind(Enum):
@@ -108,7 +98,7 @@ class DecoderInstance:
         for a in self.letters:
             mask = self.masks[a]
             size = mask.bit_count()
-            inside = sum((self.adj[v] & mask).bit_count() for v in _members(mask)) // 2
+            inside = sum((self.adj[v] & mask).bit_count() for v in members(mask)) // 2
             if inside == size * (size - 1) // 2 and size >= 2:
                 status[a] = "clique"
             elif inside == 0:
@@ -122,7 +112,7 @@ class DecoderInstance:
         """Kind of every letter pair (a, b) with a < b, in sorted order."""
         kinds = {}
         for i, a in enumerate(self.letters):
-            rows = [self.adj[v] for v in _members(self.masks[a])]
+            rows = [self.adj[v] for v in members(self.masks[a])]
             for b in self.letters[i + 1:]:
                 mask_b = self.masks[b]
                 count = sum((row & mask_b).bit_count() for row in rows)

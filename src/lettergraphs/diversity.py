@@ -8,6 +8,10 @@ realizing the graph, and the class structure itself is such a realization:
 one letter per class, class letters repeated in the word, a symmetric
 decoder with ii for cliques of at least two vertices and ij, ji for fully
 joined classes.
+
+The twin quotient (one vertex per class, an edge per fully joined class
+pair) is kept as neighbor lists, so it costs O(classes + quotient edges)
+rather than a table over all class pairs.
 """
 
 from __future__ import annotations
@@ -24,13 +28,13 @@ class TwinPartition:
     """Generalized-twin classes in order of their smallest vertex index.
 
     `kinds[i]` is "clique" or "independent" (singletons count as
-    independent); `adjacency[i][j]` says whether blocks i and j are fully
-    joined (the only alternative being no edges at all).
+    independent); `adjacency[i]` lists, ascending, the blocks fully joined
+    to block i (every other block has no edge to it at all).
     """
 
     blocks: tuple[tuple[str, ...], ...]
     kinds: tuple[str, ...]
-    adjacency: tuple[tuple[bool, ...], ...]
+    adjacency: tuple[tuple[int, ...], ...]
 
 
 def twin_partition(graph: Graph) -> TwinPartition:
@@ -94,12 +98,14 @@ def twin_partition(graph: Graph) -> TwinPartition:
         kinds.append("clique" if clique else "independent")
 
     # Members share their outside rows, so one representative row decides
-    # each block pair; pairs with no edge at all need no test.
+    # each block pair; pairs with no edge at all need no test.  The lowest
+    # bit left in the row is always the first member of its block, so every
+    # neighbor list is filled in ascending order.
     block_of = [0] * n
     for k, block in enumerate(blocks):
         for i in block:
             block_of[i] = k
-    joined = [[False] * len(blocks) for _ in blocks]
+    joined: list[list[int]] = [[] for _ in blocks]
     later = (1 << n) - 1
     for k, block in enumerate(blocks):
         later ^= masks[k]
@@ -108,7 +114,8 @@ def twin_partition(graph: Graph) -> TwinPartition:
             m = block_of[(row & -row).bit_length() - 1]
             if row & masks[m] != masks[m]:
                 raise InternalConsistencyError("twin classes are not uniformly joined")
-            joined[k][m] = joined[m][k] = True
+            joined[k].append(m)
+            joined[m].append(k)
             row ^= masks[m]
 
     names = graph.vertices
@@ -126,41 +133,44 @@ def neighborhood_diversity(graph: Graph) -> int:
 
 @dataclass(frozen=True)
 class SymmetricWitness:
+    """A symmetric realization; `mapping` is each vertex's 1-based word position."""
+
     alphabet: tuple[str, ...]
     word: Word
     decoder: Decoder
     coloring: Coloring
+    mapping: dict[str, int]
 
 
 def symmetric_witness(graph: Graph) -> SymmetricWitness:
     """A symmetric realization of the graph on one letter per twin class.
 
     Letters are "1".."p" in block order; the word lists each block's letter
-    block-size many times.  This uses the fewest letters any symmetric
-    decoder can achieve.
+    block-size many times, one position per member in block order.  This
+    uses the fewest letters any symmetric decoder can achieve.
     """
     if graph.n == 0:
         raise MalformedInstanceError("the empty graph has no symmetric witness")
     partition = twin_partition(graph)
-    p = len(partition.blocks)
-    letters = tuple(str(i + 1) for i in range(p))
+    letters = tuple(str(i + 1) for i in range(len(partition.blocks)))
     word: list[str] = []
     assignment: dict[str, str] = {}
+    mapping: dict[str, int] = {}
     for letter, block in zip(letters, partition.blocks):
-        word.extend([letter] * len(block))
         for v in block:
+            word.append(letter)
             assignment[v] = letter
+            mapping[v] = len(word)
     pairs = set()
     for i, kind in enumerate(partition.kinds):
         if kind == "clique":
             pairs.add((letters[i], letters[i]))
-        for j in range(i + 1, p):
-            if partition.adjacency[i][j]:
-                pairs.add((letters[i], letters[j]))
-                pairs.add((letters[j], letters[i]))
+        # adjacency is symmetric, so block j's turn adds the reverse pair.
+        pairs.update((letters[i], letters[j]) for j in partition.adjacency[i])
     return SymmetricWitness(
         alphabet=letters,
         word=tuple(word),
         decoder=frozenset(pairs),
         coloring=Coloring(assignment, letters),
+        mapping=mapping,
     )

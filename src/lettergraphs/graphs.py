@@ -21,6 +21,17 @@ def check_token(token: object, what: str) -> str:
     return token
 
 
+def members(mask: int) -> list[int]:
+    """Indices of the set bits of a non-negative mask, ascending."""
+    bits = bin(mask)[:1:-1]
+    out = []
+    i = bits.find("1")
+    while i >= 0:
+        out.append(i)
+        i = bits.find("1", i + 1)
+    return out
+
+
 class Graph:
     """An immutable simple graph over named vertices.
 
@@ -80,8 +91,7 @@ class Graph:
         return list(self._adj)
 
     def neighbors(self, v: str) -> tuple[str, ...]:
-        mask = self.neighbor_mask(v)
-        return tuple(u for i, u in enumerate(self.vertices) if mask >> i & 1)
+        return tuple(self.vertices[i] for i in members(self.neighbor_mask(v)))
 
     def degree(self, v: str) -> int:
         return self.neighbor_mask(v).bit_count()
@@ -90,13 +100,8 @@ class Graph:
         """All edges as (u, v) pairs ordered by vertex indices, u before v."""
         out = []
         for i, u in enumerate(self.vertices):
-            rest = self._adj[i] >> (i + 1)
-            j = i + 1
-            while rest:
-                if rest & 1:
-                    out.append((u, self.vertices[j]))
-                rest >>= 1
-                j += 1
+            later = self.vertices[i + 1:]
+            out.extend((u, later[j]) for j in members(self._adj[i] >> i + 1))
         return tuple(out)
 
     def __eq__(self, other: object) -> bool:

@@ -22,6 +22,7 @@ the bounds follow by counting).
 from __future__ import annotations
 
 import itertools
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -191,6 +192,7 @@ def _search_realization(graph: Graph, k_max: int, symmetric: bool,
             f"realization search handles at most {MAX_ORACLE_LETTERS} letters, got {k_max}")
     if n == 0:
         return LettericityWitness(0, (), Coloring({}, ()), frozenset(), (), {})
+    jobs = min(jobs, os.cpu_count() or 1)
     for k in range(1, min(k_max, n) + 1):
         slot_bound = k * (k + 1) // 2 if symmetric else k * k
         level = _stirling2(n, k) << slot_bound
@@ -222,7 +224,8 @@ def brute_lettericity(graph: Graph, k_max: int, jobs: int = 1) -> Optional[Lette
     """Smallest-alphabet realization with at most k_max letters, or None.
 
     Guards: at most 12 vertices, at most 6 letters, and each alphabet level
-    must stay under 2**27 enumerated candidates.
+    must stay under 2**27 enumerated candidates.  At most `jobs` worker
+    processes, and never more than the CPU count, scan the colorings.
     """
     return _search_realization(graph, k_max, symmetric=False, jobs=jobs)
 
@@ -250,6 +253,8 @@ def enumerate_decoders(graph: Graph, coloring: Coloring, word: Sequence[str],
     Checks every subset of the alphabet's ordered pairs with the verifier,
     on one instance built up front; the alphabet may have at most 4 letters
     (65536 candidates).  Results come sorted by their sorted pair tuples.
+    At most `jobs` worker processes, and never more than the CPU count,
+    share the scan.
     """
     inst = DecoderInstance(graph, coloring, word)
     inst.require_used_letters()
@@ -260,6 +265,7 @@ def enumerate_decoders(graph: Graph, coloring: Coloring, word: Sequence[str],
     letters = sorted(coloring.alphabet)
     slots = [(a, b) for a in letters for b in letters]
     total = 1 << len(slots)
+    jobs = min(jobs, os.cpu_count() or 1)
     if jobs > 1 and total >= 1 << 12:
         chunk = (total + jobs - 1) // jobs
         tasks = [(inst, slots, start, min(start + chunk, total))

@@ -7,6 +7,11 @@ after u is forced, i.e. when
   * {u, v} is an edge but (chi(v), chi(u)) is not in D, or
   * {u, v} is not an edge but (chi(v), chi(u)) is in D.
 
+With vertex sets as bitmasks that is one XOR per vertex: the arcs out of u
+are N(u) XOR B(chi(u)), less u, where B(c) is the set of vertices whose
+letter x has (x, c) in D.  Kahn's algorithm then walks the set bits of
+each row.
+
 A linear order realizes G as the letter graph of its color word if and only
 if it is a topological order of H, so the instance is solvable exactly when
 H is acyclic.
@@ -19,7 +24,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 from .errors import MalformedInstanceError
-from .graphs import Coloring, Graph, check_total_coloring
+from .graphs import Coloring, Graph, check_total_coloring, color_masks, members
 from .letters import Decoder, Word, decoder_letters, normalize_decoder
 
 
@@ -30,23 +35,17 @@ def _check_decoder_alphabet(coloring: Coloring, decoder: Decoder) -> None:
 
 
 def _successor_masks(graph: Graph, coloring: Coloring, decoder: Decoder) -> list[int]:
-    """Arc bitmask per vertex index; bit j of succ[i] means arc (i, j)."""
-    n = graph.n
-    colors = [coloring[v] for v in graph.vertices]
-    adj = graph.adjacency_masks()
-    succ = [0] * n
-    for i in range(n):
-        ci = colors[i]
-        row = adj[i]
-        for j in range(n):
-            if i == j:
-                continue
-            if (colors[j], ci) in decoder:
-                if not row >> j & 1:
-                    succ[i] |= 1 << j
-            elif row >> j & 1:
-                succ[i] |= 1 << j
-    return succ
+    """Arc bitmask per vertex index; bit j of succ[i] means arc (i, j).
+
+    before[c] holds the vertices whose letter x has (x, c) in D, so the arcs
+    out of i are its neighbors XOR before[chi(i)], less i itself.
+    """
+    masks = color_masks(graph, coloring)
+    before = dict.fromkeys(coloring.alphabet, 0)
+    for x, c in decoder:
+        before[c] |= masks[x]
+    return [(row ^ before[coloring[v]]) & ~(1 << i)
+            for i, (v, row) in enumerate(zip(graph.vertices, graph.adjacency_masks()))]
 
 
 def _topological_indices(succ: list[int]) -> Optional[list[int]]:
@@ -54,27 +53,18 @@ def _topological_indices(succ: list[int]) -> Optional[list[int]]:
     n = len(succ)
     indegree = [0] * n
     for row in succ:
-        j = 0
-        while row:
-            if row & 1:
-                indegree[j] += 1
-            row >>= 1
-            j += 1
+        for j in members(row):
+            indegree[j] += 1
     ready = [i for i in range(n) if indegree[i] == 0]
     heapq.heapify(ready)
     order = []
     while ready:
         i = heapq.heappop(ready)
         order.append(i)
-        row = succ[i]
-        j = 0
-        while row:
-            if row & 1:
-                indegree[j] -= 1
-                if indegree[j] == 0:
-                    heapq.heappush(ready, j)
-            row >>= 1
-            j += 1
+        for j in members(succ[i]):
+            indegree[j] -= 1
+            if indegree[j] == 0:
+                heapq.heappush(ready, j)
     if len(order) != n:
         return None
     return order
@@ -88,15 +78,8 @@ class OrderDigraph:
     def __init__(self, vertices: Sequence[str], succ: list[int]):
         self.vertices = tuple(vertices)
         self._succ = list(succ)
-        arcs = set()
-        for i, row in enumerate(succ):
-            j = 0
-            while row:
-                if row & 1:
-                    arcs.add((self.vertices[i], self.vertices[j]))
-                row >>= 1
-                j += 1
-        self.arcs = frozenset(arcs)
+        self.arcs = frozenset((self.vertices[i], self.vertices[j])
+                              for i, row in enumerate(succ) for j in members(row))
 
     def has_arc(self, u: str, v: str) -> bool:
         return (u, v) in self.arcs

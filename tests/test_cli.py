@@ -164,6 +164,23 @@ def test_unexpected_exception_exit_70(banane_path, capsys, monkeypatch):
     assert "internal error: RuntimeError: boom" in err
 
 
+@pytest.mark.parametrize("command", [["lettericity", "--max-k", "3"],
+                                     ["retrieve-decoder", "--all"]])
+def test_jobs_bounded_by_cpu_count_at_parse_time(command, banane_path, capsys, monkeypatch):
+    monkeypatch.setattr("os.cpu_count", lambda: 4)
+
+    def must_not_run(doc, args):
+        raise AssertionError("the handler ran")
+
+    monkeypatch.setitem(cli._HANDLERS, command[0], must_not_run)
+    for jobs in ("0", "5", "5000"):
+        with pytest.raises(SystemExit) as exc:
+            main(command + ["--jobs", jobs, banane_path])
+        assert exc.value.code == 2
+        assert "--jobs" in capsys.readouterr().err
+    assert cli.build_parser().parse_args(command + ["--jobs", "4", banane_path]).jobs == 4
+
+
 def test_missing_fields_exit_2(capsys, tmp_path):
     path = tmp_path / "graph_only.json"
     path.write_text('{"graph": {"vertices": ["x"]}}')

@@ -5,7 +5,7 @@ from lettergraphs import (Graph, MalformedInstanceError, decode,
                           neighborhood_diversity, symmetric_witness,
                           twin_partition, verify_decoder)
 from lettergraphs.graphs import are_generalized_twins
-from lettergraphs.letters import is_symmetric_decoder
+from lettergraphs.letters import check_realization, is_symmetric_decoder
 from instances import random_graph
 
 
@@ -41,8 +41,7 @@ def test_partition_structure_of_a_star():
     partition = twin_partition(star(3))
     assert partition.blocks == (("center",), ("l0", "l1", "l2"))
     assert partition.kinds == ("independent", "independent")
-    assert partition.adjacency[0][1] and partition.adjacency[1][0]
-    assert not partition.adjacency[0][0]
+    assert partition.adjacency == ((1,), (0,))
 
 
 def test_partition_kinds_of_a_clique_block():
@@ -50,8 +49,16 @@ def test_partition_kinds_of_a_clique_block():
     partition = twin_partition(g)
     assert partition.blocks == (("a", "b", "c"),)
     assert partition.kinds == ("clique",)
-    # within-block structure lives in kinds; the diagonal stays False
-    assert partition.adjacency == ((False,),)
+    # within-block structure lives in kinds; a block never lists itself
+    assert partition.adjacency == ((),)
+
+
+def test_quotient_of_a_long_path_is_linear():
+    vertices = [f"p{i}" for i in range(4000)]
+    path = Graph(vertices, zip(vertices, vertices[1:]))
+    partition = twin_partition(path)
+    assert len(partition.blocks) == 4000
+    assert sum(len(nbrs) for nbrs in partition.adjacency) == 2 * 3999
 
 
 def test_blocks_ordered_by_smallest_member():
@@ -91,6 +98,7 @@ def test_witness_always_realizes_the_graph(n, rng, p):
     assert len(witness.alphabet) == neighborhood_diversity(g)
     assert is_symmetric_decoder(witness.decoder)
     assert verify_decoder(g, witness.coloring, witness.word, witness.decoder)
+    check_realization(g, witness.mapping, witness.word, witness.decoder, witness.coloring)
     # decoding the witness word gives a graph isomorphic to g; per-letter
     # counts match the block sizes by construction
     colored = decode(witness.decoder, witness.word, witness.alphabet)
@@ -111,5 +119,6 @@ def test_twin_blocks_are_maximal(n, rng):
     for k, block in enumerate(partition.blocks):
         inside = {g.has_edge(u, v) for i, u in enumerate(block) for v in block[i + 1:]}
         assert partition.kinds[k] == ("clique" if inside == {True} else "independent")
-        for m, other in enumerate(partition.blocks):
-            assert partition.adjacency[k][m] == (m != k and g.has_edge(block[0], other[0]))
+        joined = tuple(m for m, other in enumerate(partition.blocks)
+                       if m != k and g.has_edge(block[0], other[0]))
+        assert partition.adjacency[k] == joined

@@ -3,7 +3,7 @@ from hypothesis import given, strategies as st
 
 from lettergraphs import Coloring, Graph, MalformedInstanceError
 from lettergraphs.graphs import (are_generalized_twins, check_token,
-                                 check_total_coloring, color_masks)
+                                 check_total_coloring, color_masks, members)
 
 
 def test_vertices_keep_declaration_order():
@@ -133,3 +133,18 @@ def test_twins_agree_with_neighborhood_definition(g):
         for v in g.vertices[i + 1:]:
             expected = (set(g.neighbors(u)) - {v}) == (set(g.neighbors(v)) - {u})
             assert are_generalized_twins(g, u, v) == expected
+
+
+@st.composite
+def row_masks(draw):
+    """Empty, all-ones, dense and sparse rows of up to 5000 bits."""
+    width = draw(st.integers(min_value=1, max_value=5000))
+    density = draw(st.sampled_from([0.0, 1.0 / width, 0.01, 0.5, 0.99, 1.0]))
+    rng = draw(st.randoms(use_true_random=False))
+    return int("".join("1" if rng.random() < density else "0" for _ in range(width)), 2)
+
+
+@given(st.one_of(st.just(0), st.integers(min_value=0, max_value=4999).map(lambda i: 1 << i),
+                 row_masks()))
+def test_members_lists_the_set_bits_ascending(mask):
+    assert members(mask) == [i for i in range(mask.bit_length()) if mask >> i & 1]

@@ -8,6 +8,7 @@ from lettergraphs import (Coloring, Graph, MalformedInstanceError,
                           brute_lettericity, brute_symmetric_lettericity,
                           characterization_check, decode, enumerate_decoders,
                           verify_decoder)
+from lettergraphs import oracles
 from lettergraphs.oracles import (_decoder_slots, _edge_bound_tables,
                                   _mask_decoder, _stirling2,
                                   _surjective_colorings,
@@ -170,6 +171,41 @@ class TestEnumerateDecoders:
         graph, coloring, word, _ = random_realizable(random.Random(9), 5, 3)
         assert enumerate_decoders(graph, coloring, word) == \
             enumerate_decoders(graph, coloring, word, jobs=4)
+
+
+def recording_pool(monkeypatch, cpus):
+    """Swap in a pool that records max_workers and maps in process."""
+    sizes = []
+
+    class Pool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return list(map(fn, tasks))
+
+    monkeypatch.setattr(oracles, "ProcessPoolExecutor", Pool)
+    monkeypatch.setattr("os.cpu_count", lambda: cpus)
+    return sizes
+
+
+def test_worker_count_never_exceeds_cpu_count(monkeypatch):
+    import random
+    graph, coloring, word, _ = random_realizable(random.Random(9), 5, 4)
+    g = random_graph_fixture(7, seed=5)
+    serial_decoders = enumerate_decoders(graph, coloring, word)
+    serial_witness = brute_lettericity(g, 3)
+    sizes = recording_pool(monkeypatch, cpus=3)
+    assert enumerate_decoders(graph, coloring, word, jobs=5000) == serial_decoders
+    assert sizes == [3]
+    assert brute_lettericity(g, 3, jobs=5000) == serial_witness
+    assert len(sizes) > 1 and max(sizes) <= 3
 
 
 class TestCharacterization:

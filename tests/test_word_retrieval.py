@@ -6,7 +6,9 @@ from hypothesis import given, settings, strategies as st
 from lettergraphs import (Coloring, Graph, MalformedInstanceError,
                           build_order_digraph, decode, retrieve_word,
                           topological_order)
-from instances import banane_instance, random_realizable, realization_exists
+from lettergraphs.word_retrieval import _successor_masks
+from instances import (banane_instance, random_graph, random_realizable,
+                       realization_exists)
 
 
 def test_banane_digraph_arcs():
@@ -112,6 +114,35 @@ def test_feasibility_matches_permutation_oracle(n, rng):
     decoder = frozenset((a, b) for a in letters for b in letters if rng.random() < 0.5)
     got = retrieve_word(graph, coloring, decoder)
     assert (got is not None) == realization_exists(graph, coloring, decoder)
+
+
+def pairwise_successor_masks(graph, coloring, decoder):
+    """The arc rule pair by pair, as stated in the module docstring."""
+    colors = [coloring[v] for v in graph.vertices]
+    adj = graph.adjacency_masks()
+    succ = [0] * graph.n
+    for i in range(graph.n):
+        for j in range(graph.n):
+            if i == j:
+                continue
+            if (colors[j], colors[i]) in decoder:
+                if not adj[i] >> j & 1:
+                    succ[i] |= 1 << j
+            elif adj[i] >> j & 1:
+                succ[i] |= 1 << j
+    return succ
+
+
+@settings(max_examples=150)
+@given(st.integers(min_value=0, max_value=9), st.integers(min_value=1, max_value=4),
+       st.randoms(use_true_random=False))
+def test_successor_masks_match_the_pairwise_rule(n, k, rng):
+    letters = "abcd"[:k]
+    graph = random_graph(rng, n, rng.random())
+    coloring = Coloring({v: rng.choice(letters) for v in graph.vertices}, tuple(letters))
+    decoder = frozenset((a, b) for a in letters for b in letters if rng.random() < 0.5)
+    assert _successor_masks(graph, coloring, decoder) == \
+        pairwise_successor_masks(graph, coloring, decoder)
 
 
 def test_solution_is_deterministic():
