@@ -8,7 +8,7 @@ oracles and neighborhood-diversity tools for cross-checking them.
 """
 
 from .coloring_retrieval import (find_isomorphism, gi_to_coloring_instance,
-                                 retrieve_coloring)
+                                 isomorphic_coloring, retrieve_coloring)
 from .decoder_retrieval import (build_formula, retrieve_decoder,
                                 verify_decoder)
 from .diversity import (SymmetricWitness, TwinPartition,
@@ -56,6 +56,7 @@ __all__ = [
     "find_isomorphism",
     "gi_to_coloring_instance",
     "is_symmetric_decoder",
+    "isomorphic_coloring",
     "neighborhood_diversity",
     "normalize_decoder",
     "parse_instance",

@@ -24,7 +24,7 @@ import time
 import traceback
 from typing import Optional
 
-from .coloring_retrieval import find_isomorphism
+from .coloring_retrieval import isomorphic_coloring
 from .decoder_retrieval import retrieve_decoder, verify_decoder
 from .diversity import symmetric_witness, twin_partition
 from .documents import (InstanceDocument, coloring_payload, decoder_payload,
@@ -118,17 +118,11 @@ def _cmd_retrieve_decoder(doc: InstanceDocument, args) -> tuple[dict, int]:
 
 def _cmd_retrieve_coloring(doc: InstanceDocument, args) -> tuple[dict, int]:
     _require(doc, "alphabet", "decoder", "word")
-    if len(doc.word) != doc.graph.n:
-        raise MalformedInstanceError("word length differs from the vertex count")
-    start = time.perf_counter()
-    target = decode(doc.decoder, doc.word, doc.alphabet)
-    mapping = find_isomorphism(doc.graph, target.graph)
-    ms = round((time.perf_counter() - start) * 1000.0, 3)
-    if mapping is None:
+    found, ms = _timed(isomorphic_coloring, doc.graph, doc.alphabet, doc.decoder, doc.word)
+    if found is None:
         return {"status": "infeasible", "timing_ms": ms}, EXIT_INFEASIBLE
+    mapping, coloring = found
     positions = {v: int(mapping[v]) for v in doc.graph.vertices}
-    assignment = {v: doc.word[positions[v] - 1] for v in doc.graph.vertices}
-    coloring = Coloring(assignment, doc.alphabet)
     check_realization(doc.graph, positions, doc.word, doc.decoder, coloring)
     payload = {
         "status": "solution",

@@ -140,6 +140,18 @@ def retrieve_coloring(graph: Graph, alphabet: Sequence[str],
     the graph onto it, and colors every vertex with the letter of its image
     position.  Returns None when the graphs are not isomorphic.
     """
+    found = isomorphic_coloring(graph, alphabet, decoder, word)
+    return None if found is None else found[1]
+
+
+def isomorphic_coloring(graph: Graph, alphabet: Sequence[str],
+                        decoder: Iterable[Sequence[str]],
+                        word: Sequence[str]) -> Optional[tuple[dict[str, str], Coloring]]:
+    """`retrieve_coloring` together with its isomorphism.
+
+    Returns (f, coloring), where f maps each vertex to its image position in
+    the letter graph of (D, w) (positions named "1".."n"), or None.
+    """
     w = as_word(word)
     if len(w) != graph.n:
         raise MalformedInstanceError("word length differs from the vertex count")
@@ -148,7 +160,7 @@ def retrieve_coloring(graph: Graph, alphabet: Sequence[str],
     if mapping is None:
         return None
     assignment = {v: w[int(mapping[v]) - 1] for v in graph.vertices}
-    return Coloring(assignment, tuple(alphabet))
+    return mapping, Coloring(assignment, tuple(alphabet))
 
 
 def gi_to_coloring_instance(g1: Graph, g2: Graph) -> tuple[Graph, tuple[str, ...], Decoder, Word]:

@@ -7,12 +7,21 @@ multi-character letters survive serialization.  Serialization is canonical
 (fixed key order, two-space indent, sorted decoder pairs, coloring keyed in
 vertex declaration order), which makes parse and serialize mutually inverse
 on canonical text.
+
+Canonical text is exactly ``json.dumps(value, indent=2, ensure_ascii=False)``
+plus a newline.  ``indent`` makes json fall back to its pure-Python encoder,
+so `dump_json` writes the same bytes itself: it recurses through dicts and
+lists, escapes strings with json's own C escaper
+(``json.encoder.encode_basestring``, the one ``ensure_ascii=False`` uses),
+and writes a list of strings, or of equal-length string rows such as edges
+and decoder pairs, with one ``str.join``, so no Python code runs per item.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import chain, cycle, islice
 from typing import Any, Optional
 
 from .errors import MalformedInstanceError
@@ -20,6 +29,8 @@ from .graphs import Coloring, Graph, check_token
 from .letters import Decoder, Word, as_word, normalize_decoder
 
 INSTANCE_FIELDS = ("graph", "alphabet", "coloring", "word", "decoder", "meta")
+
+_escape = json.encoder.encode_basestring
 
 
 @dataclass
@@ -35,6 +46,13 @@ class InstanceDocument:
 def _expect(condition: bool, message: str) -> None:
     if not condition:
         raise MalformedInstanceError(message)
+
+
+def _expect_pairs(items: list, what: str) -> None:
+    """Require every item to be a two-element list, naming the first that is not."""
+    if set(map(type, items)) - {list} or set(map(len, items)) - {2}:
+        bad = next(x for x in items if not (isinstance(x, list) and len(x) == 2))
+        raise MalformedInstanceError(f"bad {what} {bad!r}")
 
 
 def parse_instance(text: str) -> InstanceDocument:
@@ -54,9 +72,12 @@ def parse_instance(text: str) -> InstanceDocument:
     _expect(isinstance(g.get("vertices"), list), "graph.vertices must be a list")
     edges = g.get("edges", [])
     _expect(isinstance(edges, list), "graph.edges must be a list")
-    for edge in edges:
-        _expect(isinstance(edge, list) and len(edge) == 2, f"bad edge {edge!r}")
-    graph = Graph(g["vertices"], edges)
+    _expect_pairs(edges, "edge")
+    try:
+        graph = Graph(g["vertices"], edges)
+    except TypeError:  # an endpoint that is a JSON array or object cannot be looked up
+        bad = next(x for edge in edges for x in edge if isinstance(x, (list, dict)))
+        raise MalformedInstanceError(f"unknown vertex {bad!r}") from None
 
     alphabet: Optional[tuple[str, ...]] = None
     if "alphabet" in raw:
@@ -87,8 +108,7 @@ def parse_instance(text: str) -> InstanceDocument:
     decoder: Optional[Decoder] = None
     if "decoder" in raw:
         _expect(isinstance(raw["decoder"], list), "decoder must be a list of pairs")
-        for pair in raw["decoder"]:
-            _expect(isinstance(pair, list) and len(pair) == 2, f"bad decoder pair {pair!r}")
+        _expect_pairs(raw["decoder"], "decoder pair")
         decoder = normalize_decoder(raw["decoder"])
         check_letters([c for pair in decoder for c in pair], "decoder")
 
@@ -100,29 +120,27 @@ def parse_instance(text: str) -> InstanceDocument:
     return InstanceDocument(graph, alphabet, coloring, word, decoder, meta)
 
 
-def graph_payload(graph: Graph) -> dict[str, Any]:
-    return {
-        "vertices": list(graph.vertices),
-        "edges": [[u, v] for u, v in graph.edge_list()],
-    }
+def graph_payload(graph: Graph) -> dict[str, tuple]:
+    """Vertices in declaration order and edges as `Graph.edge_list` pairs."""
+    return {"vertices": graph.vertices, "edges": graph.edge_list()}
 
 
 def coloring_payload(coloring: Coloring, vertex_order) -> dict[str, str]:
     return {v: coloring[v] for v in vertex_order if v in coloring}
 
 
-def decoder_payload(decoder) -> list[list[str]]:
-    return [[a, b] for a, b in sorted(decoder)]
+def decoder_payload(decoder) -> list[tuple[str, str]]:
+    return sorted(decoder)
 
 
 def serialize_instance(doc: InstanceDocument) -> str:
     out: dict[str, Any] = {"graph": graph_payload(doc.graph)}
     if doc.alphabet is not None:
-        out["alphabet"] = list(doc.alphabet)
+        out["alphabet"] = doc.alphabet
     if doc.coloring is not None:
         out["coloring"] = coloring_payload(doc.coloring, doc.graph.vertices)
     if doc.word is not None:
-        out["word"] = list(doc.word)
+        out["word"] = doc.word
     if doc.decoder is not None:
         out["decoder"] = decoder_payload(doc.decoder)
     if doc.meta is not None:
@@ -130,5 +148,90 @@ def serialize_instance(doc: InstanceDocument) -> str:
     return dump_json(out)
 
 
-def dump_json(payload: dict) -> str:
-    return json.dumps(payload, indent=2, ensure_ascii=False) + "\n"
+def dump_json(payload: Any) -> str:
+    """The canonical text of a JSON value.
+
+    Equal to ``json.dumps(payload, indent=2, ensure_ascii=False) + "\\n"``.
+    """
+    parts: list[str] = []
+    _write(payload, "\n", parts)
+    parts.append("\n")
+    return "".join(parts)
+
+
+def _write(value: Any, newline: str, parts: list[str]) -> None:
+    """Append the text of value; newline is a line break plus the current indent."""
+    if isinstance(value, str):
+        parts.append(_escape(value))
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            parts.append("[]")
+            return
+        inner = newline + "  "
+        parts.append("[" + inner)
+        if not _write_strings(value, inner, parts):
+            sep = ""
+            for item in value:
+                parts.append(sep)
+                _write(item, inner, parts)
+                sep = "," + inner
+        parts.append(newline + "]")
+    elif isinstance(value, dict):
+        if not value:
+            parts.append("{}")
+            return
+        inner = newline + "  "
+        parts.append("{" + inner)
+        sep = ""
+        for key, item in value.items():
+            parts.append(sep + _escape(_key(key)) + ": ")
+            _write(item, inner, parts)
+            sep = "," + inner
+        parts.append(newline + "}")
+    else:
+        parts.append(json.dumps(value))
+
+
+def _write_strings(items, inner: str, parts: list[str]) -> bool:
+    """Append the items of a list at indent `inner` if they are strings or
+    equal-length rows of strings; False, appending nothing, for any other list.
+
+    The text is one join over the strings interleaved with separators.  When
+    no string needs an escape, the quotes go into the separators and the
+    strings are joined as they are, so no object is made per string.
+    """
+    kinds = set(map(type, items))
+    if kinds == {str}:
+        strings, seps, head, tail = items, ["," + inner], "", ""
+    elif kinds <= {list, tuple}:
+        widths = set(map(len, items))
+        width = widths.pop()
+        if widths or not width:
+            return False
+        strings = list(chain.from_iterable(items))
+        cell = inner + "  "
+        seps = ["," + cell] * (width - 1) + [inner + "]," + inner + "[" + cell]
+        head, tail = "[" + cell, inner + "]"
+    else:
+        return False
+    try:
+        raw = "".join(strings)
+    except TypeError:  # a row holds something other than a string
+        return False
+    if len(_escape(raw)) == len(raw) + 2:
+        seps = ['"' + sep + '"' for sep in seps]
+        head, tail = head + '"', '"' + tail
+    else:
+        strings = list(map(_escape, strings))
+    interleaved = chain.from_iterable(zip(strings, cycle(seps)))
+    parts += head, "".join(islice(interleaved, 2 * len(strings) - 1)), tail
+    return True
+
+
+def _key(key: Any) -> str:
+    """A dict key as json writes it: strings as they are, scalars as their JSON text."""
+    if isinstance(key, str):
+        return key
+    if key is None or isinstance(key, (int, float)):
+        return json.dumps(key)
+    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")

@@ -45,19 +45,23 @@ class Graph:
         self._index = {v: i for i, v in enumerate(self.vertices)}
         if len(self._index) != len(self.vertices):
             raise MalformedInstanceError("duplicate vertex label")
-        adj = [0] * len(self.vertices)
-        count = 0
-        for pair in edges:
-            u, v = pair
-            i, j = self.index(u), self.index(v)
-            if i == j:
-                raise MalformedInstanceError(f"self-loop at {u!r}")
-            if not adj[i] >> j & 1:
-                adj[i] |= 1 << j
-                adj[j] |= 1 << i
-                count += 1
-        self._adj = adj
-        self._edge_count = count
+        # One '0'/'1' byte per vertex pair (n * n bytes while building),
+        # converted to an int once per row: setting bits of a growing int
+        # edge by edge copies the row's int once per edge.
+        n = len(self.vertices)
+        index = self._index
+        rows = [bytearray(b"0") * n for _ in range(n)]
+        try:
+            for u, v in edges:
+                i = index[u]
+                j = index[v]
+                if i == j:
+                    raise MalformedInstanceError(f"self-loop at {u!r}")
+                rows[i][j] = rows[j][i] = 49  # ord("1")
+        except KeyError as exc:
+            raise MalformedInstanceError(f"unknown vertex {exc.args[0]!r}") from None
+        self._adj = [int(row[::-1], 2) for row in rows]
+        self._edge_count = sum(map(int.bit_count, self._adj)) // 2
 
     def __len__(self) -> int:
         return len(self.vertices)

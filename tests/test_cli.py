@@ -1,11 +1,13 @@
 import io
 import json
+import random
 
 import pytest
 
 from lettergraphs import cli
 from lettergraphs.cli import gen_instance, main
-from lettergraphs.documents import parse_instance, serialize_instance
+from lettergraphs.documents import (InstanceDocument, parse_instance,
+                                    serialize_instance)
 from lettergraphs.word_retrieval import GeneralizedSolution
 from instances import banane_instance
 
@@ -276,3 +278,46 @@ def test_gen_instance_function_validates():
         gen_instance(0, 0, 1, "word", True)
     with pytest.raises(MalformedInstanceError):
         gen_instance(0, 3, 1, "bogus", True)
+
+
+def canonical(text):
+    return json.dumps(json.loads(text), indent=2, ensure_ascii=False) + "\n"
+
+
+@pytest.fixture(scope="module")
+def golden_instances(tmp_path_factory):
+    """gen instances at n=60, k=5 in every mode, one full instance, and k=3."""
+    root = tmp_path_factory.mktemp("golden")
+    paths = {}
+    for mode in cli.GEN_MODES:
+        paths[mode] = root / f"{mode}.json"
+        paths[mode].write_text(serialize_instance(gen_instance(5, 60, 5, mode, True)))
+    graph, letters, coloring, word, decoder = cli._gen_parts(random.Random(5), 60, 5)
+    paths["full"] = root / "full.json"
+    paths["full"].write_text(serialize_instance(
+        InstanceDocument(graph, letters, coloring, word, decoder)))
+    paths["k3"] = root / "k3.json"
+    paths["k3"].write_text(serialize_instance(gen_instance(5, 60, 3, "decoder", True)))
+    return paths
+
+
+@pytest.mark.parametrize("instance", ["word", "decoder", "coloring", "full"])
+@pytest.mark.parametrize("command", [
+    ["decode"], ["retrieve-word"], ["retrieve-decoder"], ["retrieve-coloring"], ["verify"],
+    ["nd"], ["sym-lettericity"], ["lettericity", "--max-k", "2"],
+])
+def test_output_is_json_dumps_indent_2(command, instance, golden_instances, capsys):
+    main([command[0], str(golden_instances[instance]), *command[1:]])
+    text = capsys.readouterr().out
+    assert text == canonical(text)
+
+
+def test_gen_and_enumeration_output_is_json_dumps_indent_2(golden_instances, banane_path,
+                                                           capsys):
+    for path in (golden_instances["k3"], banane_path):
+        assert main(["retrieve-decoder", "--all", str(path)]) == 0
+        text = capsys.readouterr().out
+        assert json.loads(text)["count"] >= 1 and text == canonical(text)
+    for path in golden_instances.values():
+        assert path.read_text() == canonical(path.read_text())
+    assert main(["verify", str(golden_instances["full"])]) == 0

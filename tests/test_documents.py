@@ -1,10 +1,12 @@
 import json
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from lettergraphs import (Coloring, Graph, InstanceDocument,
                           MalformedInstanceError, parse_instance,
                           serialize_instance)
+from lettergraphs.documents import dump_json
 
 FULL_TEXT = """\
 {
@@ -103,6 +105,8 @@ def test_coloring_keys_follow_vertex_declaration_order():
     '{"graph": {"vertices": "x"}}',
     '{"graph": {"vertices": ["x"], "edges": [["x"]]}}',
     '{"graph": {"vertices": ["x"], "edges": [["x", "x"]]}}',
+    '{"graph": {"vertices": ["x"], "edges": [[["x"], "x"]]}}',
+    '{"graph": {"vertices": ["x"], "edges": [["x", {"x": 1}]]}}',
     '{"graph": {"vertices": ["x"], "loops": []}}',
     '{"graph": {"vertices": ["x", "x"]}}',
     '{"graph": {"vertices": ["x"]}, "alphabet": ["a", "a"]}',
@@ -138,3 +142,63 @@ def test_document_construction_round_trip():
 def test_word_letters_unconstrained_without_alphabet():
     doc = parse_instance('{"graph": {"vertices": []}, "word": ["z", "q"]}')
     assert doc.word == ("z", "q")
+
+
+def test_first_bad_edge_or_pair_is_named():
+    text = '{"graph": {"vertices": ["x", "y"], "edges": [["x", "y"], ["y"], 3]}}'
+    with pytest.raises(MalformedInstanceError, match=r"bad edge \['y'\]"):
+        parse_instance(text)
+    text = '{"graph": {"vertices": []}, "decoder": [["a", "b"], "ab", ["a"]]}'
+    with pytest.raises(MalformedInstanceError, match="bad decoder pair 'ab'"):
+        parse_instance(text)
+
+
+# Strings that exercise every escaping rule: quotes, backslashes, control
+# characters, non-BMP code points and lone surrogates.
+SPECIAL = ['"', "\\", "\x00", "\x1f", "\x7f", "\n", "\t", "\u2028", "\ud800", "\udfff",
+           "\U0001f600", "é"]
+json_strings = st.lists(st.one_of(st.characters(), st.sampled_from(SPECIAL)),
+                        max_size=6).map("".join)
+json_scalars = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(),
+                         st.sampled_from([1e400, -1e400, -0.0]), json_strings)
+json_keys = st.one_of(json_strings, st.integers(), st.floats(), st.booleans(), st.none())
+
+
+def sequences(elements):
+    return st.one_of(st.lists(elements, max_size=5), st.lists(elements, max_size=5).map(tuple))
+
+
+@st.composite
+def string_rows(draw):
+    """A list of string lists or tuples, all of one width, or ragged."""
+    widths = st.integers(0, 3)
+    width = draw(widths)
+    rows = draw(st.lists(st.tuples(st.booleans(), st.one_of(st.just(width), widths)),
+                         max_size=6))
+    return [(tuple if as_tuple else list)(draw(st.lists(json_strings, min_size=w, max_size=w)))
+            for as_tuple, w in rows]
+
+
+json_values = st.recursive(
+    st.one_of(json_scalars, string_rows()),
+    lambda children: st.one_of(sequences(children),
+                               st.dictionaries(json_keys, children, max_size=5)),
+    max_leaves=25,
+)
+
+
+@given(json_values)
+@example([["a", 1], ["b", "c"]])
+@example([("a", "b"), ["c", "d"], ("e", "f")])
+@example([[], []])
+@example({"": [], "k": {}, 1: [[["x"]]], None: [["a", "b"], ["c"]]})
+def test_dump_json_equals_json_dumps_indent_2(value):
+    assert dump_json(value) == json.dumps(value, indent=2, ensure_ascii=False) + "\n"
+
+
+@pytest.mark.parametrize("value", [{(1, 2): 3}, [b"bytes"], [["a", b"b"]], {"k": {1, 2}}])
+def test_dump_json_rejects_what_json_rejects(value):
+    with pytest.raises(TypeError):
+        json.dumps(value, indent=2, ensure_ascii=False)
+    with pytest.raises(TypeError):
+        dump_json(value)

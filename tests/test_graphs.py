@@ -135,6 +135,63 @@ def test_twins_agree_with_neighborhood_definition(g):
             assert are_generalized_twins(g, u, v) == expected
 
 
+def reference_graph(vertices, edges):
+    """(rows, edge count) set bit by bit per edge, or the first error message."""
+    index = {v: i for i, v in enumerate(vertices)}
+    rows = [0] * len(vertices)
+    for u, v in edges:
+        for w in (u, v):
+            if w not in index:
+                return f"unknown vertex {w!r}"
+        i, j = index[u], index[v]
+        if i == j:
+            return f"self-loop at {u!r}"
+        rows[i] |= 1 << j
+        rows[j] |= 1 << i
+    return rows, sum(bin(r).count("1") for r in rows) // 2
+
+
+@st.composite
+def edge_lists(draw):
+    """Vertices v0..v(n-1) and edges in either orientation, with repeats, and
+    sometimes a self-loop or an endpoint outside the graph."""
+    n = draw(st.integers(min_value=0, max_value=9))
+    vertices = [f"v{i}" for i in range(n)]
+    if draw(st.booleans()):
+        ends = st.sampled_from(vertices + ["x"])
+        return vertices, draw(st.lists(st.tuples(ends, ends), max_size=30))
+    if n < 2:
+        return vertices, []
+    ends = st.sampled_from(vertices)
+    pairs = st.tuples(ends, ends).filter(lambda p: p[0] != p[1])
+    return vertices, draw(st.lists(pairs, max_size=30))
+
+
+@given(edge_lists())
+def test_graph_rows_match_a_per_edge_builder(case):
+    vertices, edges = case
+    expected = reference_graph(vertices, edges)
+    if isinstance(expected, str):
+        with pytest.raises(MalformedInstanceError) as err:
+            Graph(vertices, edges)
+        assert str(err.value) == expected
+        return
+    rows, count = expected
+    g = Graph(vertices, iter(edges))
+    assert g.adjacency_masks() == rows
+    assert g.edge_count == count
+
+
+def test_first_bad_edge_decides_the_error():
+    with pytest.raises(MalformedInstanceError, match="unknown vertex 'z'"):
+        Graph(["x", "y"], [("x", "y"), ("x", "z"), ("y", "y")])
+    with pytest.raises(MalformedInstanceError, match="self-loop at 'y'"):
+        Graph(["x", "y"], [("x", "y"), ("y", "y"), ("z", "x")])
+    with pytest.raises(MalformedInstanceError, match="unknown vertex 'z'"):
+        Graph(["x", "y"], [("z", "z")])
+    assert Graph([]).adjacency_masks() == [] and Graph(["x"]).edge_count == 0
+
+
 @st.composite
 def row_masks(draw):
     """Empty, all-ones, dense and sparse rows of up to 5000 bits."""
