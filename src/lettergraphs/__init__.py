@@ -11,22 +11,19 @@ from .coloring_retrieval import (find_isomorphism, gi_to_coloring_instance,
                                  isomorphic_coloring, retrieve_coloring)
 from .decoder_retrieval import (build_formula, retrieve_decoder,
                                 verify_decoder)
-from .diversity import (SymmetricWitness, TwinPartition,
-                        neighborhood_diversity, symmetric_witness,
-                        twin_partition)
+from .diversity import (TwinPartition, neighborhood_diversity,
+                        symmetric_witness, twin_partition)
 from .documents import (InstanceDocument, parse_instance, serialize_instance)
 from .errors import (InternalConsistencyError, LetterGraphError,
                      MalformedInstanceError, SizeLimitError)
 from .graphs import Coloring, Graph
-from .letters import (ColoredGraph, Decoder, Word, decode,
+from .letters import (ColoredGraph, Decoder, Realization, Word, decode,
                       is_symmetric_decoder, normalize_decoder)
-from .oracles import (LettericityWitness, brute_isomorphism,
-                      brute_lettericity, brute_symmetric_lettericity,
-                      characterization_check, enumerate_decoders)
+from .oracles import (brute_isomorphism, brute_lettericity,
+                      brute_symmetric_lettericity, characterization_check,
+                      enumerate_decoders)
 from .twosat import TwoSatFormula, solve_2sat
-from .word_retrieval import (GeneralizedSolution, OrderDigraph,
-                             build_order_digraph, retrieve_word,
-                             topological_order)
+from .word_retrieval import GeneralizedSolution, retrieve_word
 
 __all__ = [
     "ColoredGraph",
@@ -37,11 +34,9 @@ __all__ = [
     "InstanceDocument",
     "InternalConsistencyError",
     "LetterGraphError",
-    "LettericityWitness",
     "MalformedInstanceError",
-    "OrderDigraph",
+    "Realization",
     "SizeLimitError",
-    "SymmetricWitness",
     "TwinPartition",
     "TwoSatFormula",
     "Word",
@@ -49,7 +44,6 @@ __all__ = [
     "brute_lettericity",
     "brute_symmetric_lettericity",
     "build_formula",
-    "build_order_digraph",
     "characterization_check",
     "decode",
     "enumerate_decoders",
@@ -66,7 +60,6 @@ __all__ = [
     "serialize_instance",
     "solve_2sat",
     "symmetric_witness",
-    "topological_order",
     "twin_partition",
     "verify_decoder",
 ]

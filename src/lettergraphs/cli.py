@@ -33,7 +33,7 @@ from .documents import (InstanceDocument, coloring_payload, decoder_payload,
 from .errors import (InternalConsistencyError, MalformedInstanceError,
                      SizeLimitError)
 from .graphs import Coloring, Graph
-from .letters import check_realization, decode
+from .letters import Realization, check_realization, decode
 from .oracles import (brute_isomorphism, brute_lettericity,
                       brute_word_realization, enumerate_decoders)
 from .word_retrieval import retrieve_word
@@ -156,30 +156,22 @@ def _cmd_nd(doc: InstanceDocument, args) -> tuple[dict, int]:
     return payload, EXIT_SOLUTION
 
 
-def _cmd_sym_lettericity(doc: InstanceDocument, args) -> tuple[dict, int]:
-    if doc.graph.n == 0:
-        payload = {
-            "status": "solution",
-            "value": 0,
-            "alphabet": [],
-            "word": [],
-            "decoder": [],
-            "coloring": {},
-            "timing_ms": 0.0,
-        }
-        return payload, EXIT_SOLUTION
-    witness, ms = _timed(symmetric_witness, doc.graph)
-    check_realization(doc.graph, witness.mapping, witness.word, witness.decoder,
-                      witness.coloring)
-    payload = {
+def _realization_payload(graph: Graph, witness: Realization) -> dict:
+    check_realization(graph, witness.mapping, witness.word, witness.decoder, witness.coloring)
+    return {
         "status": "solution",
-        "value": len(witness.alphabet),
+        "value": witness.k,
         "alphabet": list(witness.alphabet),
         "word": list(witness.word),
         "decoder": decoder_payload(witness.decoder),
-        "coloring": coloring_payload(witness.coloring, doc.graph.vertices),
-        "timing_ms": ms,
+        "coloring": coloring_payload(witness.coloring, graph.vertices),
     }
+
+
+def _cmd_sym_lettericity(doc: InstanceDocument, args) -> tuple[dict, int]:
+    witness, ms = _timed(symmetric_witness, doc.graph)
+    payload = _realization_payload(doc.graph, witness)
+    payload["timing_ms"] = ms
     return payload, EXIT_SOLUTION
 
 
@@ -187,18 +179,9 @@ def _cmd_lettericity(doc: InstanceDocument, args) -> tuple[dict, int]:
     witness, ms = _timed(brute_lettericity, doc.graph, args.max_k, jobs=args.jobs)
     if witness is None:
         return {"status": "infeasible", "max_k": args.max_k, "timing_ms": ms}, EXIT_INFEASIBLE
-    check_realization(doc.graph, witness.mapping, witness.word, witness.decoder,
-                      witness.coloring)
-    payload = {
-        "status": "solution",
-        "value": witness.k,
-        "alphabet": list(witness.alphabet),
-        "word": list(witness.word),
-        "decoder": decoder_payload(witness.decoder),
-        "coloring": coloring_payload(witness.coloring, doc.graph.vertices),
-        "mapping": {v: witness.mapping[v] for v in doc.graph.vertices},
-        "timing_ms": ms,
-    }
+    payload = _realization_payload(doc.graph, witness)
+    payload["mapping"] = {v: witness.mapping[v] for v in doc.graph.vertices}
+    payload["timing_ms"] = ms
     return payload, EXIT_SOLUTION
 
 

@@ -29,14 +29,13 @@ from functools import cached_property
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .errors import InternalConsistencyError, MalformedInstanceError
-from .graphs import Coloring, Graph, check_total_coloring, color_masks, members
+from .graphs import Coloring, Graph, color_masks, members
 from .letters import (
     Decoder,
     Word,
+    checked_decoder,
     count_runs,
-    decoder_letters,
     is_palindrome,
-    normalize_decoder,
     project_word,
 )
 from .twosat import TwoSatFormula, solve_2sat
@@ -67,14 +66,13 @@ class DecoderInstance:
     """
 
     def __init__(self, graph: Graph, coloring: Coloring, word: Sequence[str]):
-        check_total_coloring(graph, coloring)
+        self.masks = color_masks(graph, coloring)
         if len(word) != graph.n:
             raise MalformedInstanceError("word length differs from the vertex count")
         counts = Counter(word)
         stray = set(counts) - set(coloring.alphabet)
         if stray:
             raise MalformedInstanceError(f"word letters outside the alphabet: {sorted(stray)}")
-        self.masks = color_masks(graph, coloring)
         for a, mask in self.masks.items():
             if counts[a] != mask.bit_count():
                 raise MalformedInstanceError(
@@ -214,11 +212,7 @@ def verify_decoder(graph: Graph, coloring: Coloring, word: Sequence[str],
     occurs as often as it colors vertices.
     """
     inst = DecoderInstance(graph, coloring, word)
-    d = decoder if isinstance(decoder, frozenset) else normalize_decoder(decoder)
-    stray = decoder_letters(d) - set(coloring.alphabet)
-    if stray:
-        raise MalformedInstanceError(f"decoder letters outside the alphabet: {sorted(stray)}")
-    return inst.realizes(d)
+    return inst.realizes(checked_decoder(decoder, coloring.alphabet))
 
 
 class PairStatus(Enum):

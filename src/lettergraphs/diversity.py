@@ -16,11 +16,12 @@ rather than a table over all class pairs.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
-from .errors import InternalConsistencyError, MalformedInstanceError
+from .errors import InternalConsistencyError
 from .graphs import Coloring, Graph
-from .letters import Decoder, Word
+from .letters import Realization
 
 
 @dataclass(frozen=True)
@@ -40,8 +41,11 @@ class TwinPartition:
 def twin_partition(graph: Graph) -> TwinPartition:
     """Partition the vertices into generalized-twin classes.
 
-    Vertices are grouped by equal open or equal closed neighborhoods (either
-    match merges, transitively).  The grouping is then checked rather than
+    No vertex u has both an open twin v and a closed twin w: w in N(u) = N(v)
+    would put v in N[w] = N[u], that is, in N(v).  So each vertex is keyed
+    by its open row when another vertex shares that row and by its closed
+    row otherwise; the two kinds of key never collide, and equal keys are
+    exactly the twin classes.  The grouping is then checked rather than
     assumed, with a linear number of bitmask operations: each member's row
     against its block's first member outside the block and against the
     clique or independent pattern inside it, and each pair of blocks with an
@@ -49,37 +53,11 @@ def twin_partition(graph: Graph) -> TwinPartition:
     """
     n = graph.n
     adj = graph.adjacency_masks()
-    parent = list(range(n))
-
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    def union(i: int, j: int) -> None:
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            parent[max(ri, rj)] = min(ri, rj)
-
-    open_seen: dict[int, int] = {}
-    closed_seen: dict[int, int] = {}
-    for i in range(n):
-        open_key = adj[i]
-        closed_key = adj[i] | 1 << i
-        if open_key in open_seen:
-            union(open_seen[open_key], i)
-        else:
-            open_seen[open_key] = i
-        if closed_key in closed_seen:
-            union(closed_seen[closed_key], i)
-        else:
-            closed_seen[closed_key] = i
-
-    members: dict[int, list[int]] = {}
-    for i in range(n):
-        members.setdefault(find(i), []).append(i)
-    blocks = [sorted(vs) for _, vs in sorted(members.items())]
+    shared = Counter(adj)
+    groups: dict[int, list[int]] = {}
+    for i, row in enumerate(adj):
+        groups.setdefault(row if shared[row] > 1 else row | 1 << i, []).append(i)
+    blocks = list(groups.values())
     masks = [sum(1 << i for i in block) for block in blocks]
 
     # Every member must agree with the block's first member outside the
@@ -131,26 +109,14 @@ def neighborhood_diversity(graph: Graph) -> int:
     return len(twin_partition(graph).blocks)
 
 
-@dataclass(frozen=True)
-class SymmetricWitness:
-    """A symmetric realization; `mapping` is each vertex's 1-based word position."""
-
-    alphabet: tuple[str, ...]
-    word: Word
-    decoder: Decoder
-    coloring: Coloring
-    mapping: dict[str, int]
-
-
-def symmetric_witness(graph: Graph) -> SymmetricWitness:
+def symmetric_witness(graph: Graph) -> Realization:
     """A symmetric realization of the graph on one letter per twin class.
 
     Letters are "1".."p" in block order; the word lists each block's letter
     block-size many times, one position per member in block order.  This
-    uses the fewest letters any symmetric decoder can achieve.
+    uses the fewest letters any symmetric decoder can achieve; the empty
+    graph gets the empty realization.
     """
-    if graph.n == 0:
-        raise MalformedInstanceError("the empty graph has no symmetric witness")
     partition = twin_partition(graph)
     letters = tuple(str(i + 1) for i in range(len(partition.blocks)))
     word: list[str] = []
@@ -167,7 +133,7 @@ def symmetric_witness(graph: Graph) -> SymmetricWitness:
             pairs.add((letters[i], letters[i]))
         # adjacency is symmetric, so block j's turn adds the reverse pair.
         pairs.update((letters[i], letters[j]) for j in partition.adjacency[i])
-    return SymmetricWitness(
+    return Realization(
         alphabet=letters,
         word=tuple(word),
         decoder=frozenset(pairs),

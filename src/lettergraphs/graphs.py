@@ -192,14 +192,13 @@ class Coloring:
         return f"Coloring({self.assignment!r}, alphabet={list(self.alphabet)!r})"
 
 
-def check_total_coloring(graph: Graph, coloring: Coloring) -> None:
-    """Require the coloring to name exactly the vertices of the graph."""
+def color_masks(graph: Graph, coloring: Coloring) -> dict[str, int]:
+    """Bitmask of vertex indices per letter, for every alphabet letter.
+
+    The coloring must name exactly the vertices of the graph.
+    """
     if set(coloring.assignment) != set(graph.vertices):
         raise MalformedInstanceError("coloring is not total on the graph's vertices")
-
-
-def color_masks(graph: Graph, coloring: Coloring) -> dict[str, int]:
-    """Bitmask of vertex indices per letter, for every alphabet letter."""
     masks = {c: 0 for c in coloring.alphabet}
     for v, c in coloring.assignment.items():
         masks[c] |= 1 << graph.index(v)

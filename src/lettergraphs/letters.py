@@ -35,6 +35,15 @@ def decoder_letters(decoder: Iterable[Sequence[str]]) -> set[str]:
     return {c for pair in decoder for c in pair}
 
 
+def checked_decoder(decoder: Iterable[Sequence[str]], alphabet: Iterable[str]) -> Decoder:
+    """The decoder as a frozenset of pairs, refusing letters outside the alphabet."""
+    d = decoder if isinstance(decoder, frozenset) else normalize_decoder(decoder)
+    stray = decoder_letters(d) - set(alphabet)
+    if stray:
+        raise MalformedInstanceError(f"decoder letters outside the alphabet: {sorted(stray)}")
+    return d
+
+
 def is_symmetric_decoder(decoder: Iterable[Sequence[str]]) -> bool:
     d = {(a, b) for a, b in decoder}
     return all((b, a) in d for a, b in d)
@@ -107,6 +116,22 @@ def decode(decoder: Iterable[Sequence[str]], word: Sequence[str],
     graph = Graph(positions, edges)
     coloring = Coloring({positions[i]: w[i] for i in range(len(w))}, alphabet)
     return ColoredGraph(graph, coloring)
+
+
+@dataclass(frozen=True)
+class Realization:
+    """A word and decoder realizing a graph; `mapping` is each vertex's 1-based
+    word position and `coloring` its letter."""
+
+    alphabet: tuple[str, ...]
+    word: Word
+    decoder: Decoder
+    coloring: Coloring
+    mapping: dict[str, int]
+
+    @property
+    def k(self) -> int:
+        return len(self.alphabet)
 
 
 def check_realization(graph: Graph, mapping: Mapping[str, int], word: Sequence[str],

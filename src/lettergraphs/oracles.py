@@ -24,13 +24,12 @@ from __future__ import annotations
 import itertools
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .decoder_retrieval import DecoderInstance, PairKind
 from .errors import MalformedInstanceError, SizeLimitError
 from .graphs import Coloring, Graph
-from .letters import Decoder, Word, normalize_decoder
+from .letters import Decoder, Realization, normalize_decoder
 from .word_retrieval import retrieve_word
 
 ORACLE_LETTERS = "abcdef"
@@ -40,18 +39,6 @@ MAX_LEVEL_CANDIDATES = 1 << 27
 MAX_ENUMERATION_LETTERS = 4
 MAX_ISOMORPHISM_VERTICES = 8
 MAX_WORD_ORACLE_VERTICES = 7
-
-
-@dataclass(frozen=True)
-class LettericityWitness:
-    """A minimum-alphabet realization found by exhaustive search."""
-
-    k: int
-    alphabet: tuple[str, ...]
-    coloring: Coloring
-    decoder: Decoder
-    word: Word
-    mapping: dict[str, int]
 
 
 def _surjective_colorings(n: int, k: int):
@@ -114,8 +101,11 @@ def _decoder_slots(letters: Sequence[str], sizes: dict[str, int], symmetric: boo
     return slots, caps, partner
 
 
-def _edge_bound_tables(caps: list[int], partner: list[int], symmetric: bool):
-    """Per-mask lower and upper bounds on the realizable edge count."""
+def _edge_bound_tables(caps: list[int], partner: list[int]):
+    """Per-mask lower and upper bounds on the realizable edge count.
+
+    A slot that is its own partner (a self pair, or any symmetric slot)
+    always adds its capacity."""
     m = len(caps)
     low = [0] * (1 << m)
     high = [0] * (1 << m)
@@ -123,7 +113,7 @@ def _edge_bound_tables(caps: list[int], partner: list[int], symmetric: bool):
         bit = mask & -mask
         i = bit.bit_length() - 1
         rest = mask ^ bit
-        if symmetric or partner[i] == i:
+        if partner[i] == i:
             low[mask] = low[rest] + caps[i]
             high[mask] = high[rest] + caps[i]
         elif rest >> partner[i] & 1:
@@ -162,7 +152,7 @@ def _scan_colorings(graph: Graph, k: int, rgs_list: list[tuple[int, ...]],
             sizes[letters[value]] += 1
         slots, caps, partner = _decoder_slots(letters, sizes, symmetric)
         m = len(slots)
-        tables = _edge_bound_tables(caps, partner, symmetric) if m <= 18 else None
+        tables = _edge_bound_tables(caps, partner) if m <= 18 else None
         for mask in range(1 << m):
             if tables is not None:
                 if not tables[0][mask] <= target <= tables[1][mask]:
@@ -179,8 +169,22 @@ def _scan_chunk(args):
     return _scan_colorings(*args)
 
 
+def _fan_out(worker, task, total: int, jobs: int, serial_below: int) -> list:
+    """worker's results on task(start, stop) for contiguous chunks of
+    range(total), in chunk order.  At most `jobs` processes share the chunks,
+    never more than the CPU count; with one job, or fewer than serial_below
+    items, worker runs once on task(0, total) in this process."""
+    jobs = min(jobs, os.cpu_count() or 1)
+    if jobs <= 1 or total < serial_below:
+        return [worker(task(0, total))]
+    chunk = (total + jobs - 1) // jobs
+    tasks = [task(start, min(start + chunk, total)) for start in range(0, total, chunk)]
+    with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
+        return list(pool.map(worker, tasks))
+
+
 def _search_realization(graph: Graph, k_max: int, symmetric: bool,
-                        jobs: int) -> Optional[LettericityWitness]:
+                        jobs: int) -> Optional[Realization]:
     if k_max < 1:
         raise MalformedInstanceError("the alphabet bound must be at least 1")
     n = graph.n
@@ -191,8 +195,7 @@ def _search_realization(graph: Graph, k_max: int, symmetric: bool,
         raise SizeLimitError(
             f"realization search handles at most {MAX_ORACLE_LETTERS} letters, got {k_max}")
     if n == 0:
-        return LettericityWitness(0, (), Coloring({}, ()), frozenset(), (), {})
-    jobs = min(jobs, os.cpu_count() or 1)
+        return Realization((), (), frozenset(), Coloring({}, ()), {})
     for k in range(1, min(k_max, n) + 1):
         slot_bound = k * (k + 1) // 2 if symmetric else k * k
         level = _stirling2(n, k) << slot_bound
@@ -201,26 +204,19 @@ def _search_realization(graph: Graph, k_max: int, symmetric: bool,
                 f"level {k} would enumerate about {level} candidates "
                 f"(limit {MAX_LEVEL_CANDIDATES})")
         rgs_list = list(_surjective_colorings(n, k))
-        if jobs > 1 and len(rgs_list) >= 2:
-            chunk = (len(rgs_list) + jobs - 1) // jobs
-            tasks = [(graph, k, rgs_list[start:start + chunk], start, symmetric)
-                     for start in range(0, len(rgs_list), chunk)]
-            with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
-                hits = [h for h in pool.map(_scan_chunk, tasks) if h is not None]
-            hit = min(hits, default=None)
-        else:
-            hit = _scan_colorings(graph, k, rgs_list, 0, symmetric)
+        hits = _fan_out(_scan_chunk, lambda start, stop: (
+            graph, k, rgs_list[start:stop], start, symmetric), len(rgs_list), jobs, 2)
+        hit = min((h for h in hits if h is not None), default=None)
         if hit is not None:
             _, _, rgs, decoder, permutation, word = hit
-            letters = ORACLE_LETTERS[:k]
-            coloring = Coloring(
-                {graph.vertices[i]: letters[rgs[i]] for i in range(n)}, tuple(letters))
+            letters = tuple(ORACLE_LETTERS[:k])
+            coloring = Coloring({graph.vertices[i]: letters[rgs[i]] for i in range(n)}, letters)
             mapping = {v: i + 1 for i, v in enumerate(permutation)}
-            return LettericityWitness(k, tuple(letters), coloring, decoder, word, mapping)
+            return Realization(letters, word, decoder, coloring, mapping)
     return None
 
 
-def brute_lettericity(graph: Graph, k_max: int, jobs: int = 1) -> Optional[LettericityWitness]:
+def brute_lettericity(graph: Graph, k_max: int, jobs: int = 1) -> Optional[Realization]:
     """Smallest-alphabet realization with at most k_max letters, or None.
 
     Guards: at most 12 vertices, at most 6 letters, and each alphabet level
@@ -231,7 +227,7 @@ def brute_lettericity(graph: Graph, k_max: int, jobs: int = 1) -> Optional[Lette
 
 
 def brute_symmetric_lettericity(graph: Graph, k_max: int,
-                                jobs: int = 1) -> Optional[LettericityWitness]:
+                                jobs: int = 1) -> Optional[Realization]:
     """Like brute_lettericity but restricted to symmetric decoders."""
     return _search_realization(graph, k_max, symmetric=True, jobs=jobs)
 
@@ -264,17 +260,9 @@ def enumerate_decoders(graph: Graph, coloring: Coloring, word: Sequence[str],
             f"decoder enumeration handles at most {MAX_ENUMERATION_LETTERS} letters, got {k}")
     letters = sorted(coloring.alphabet)
     slots = [(a, b) for a in letters for b in letters]
-    total = 1 << len(slots)
-    jobs = min(jobs, os.cpu_count() or 1)
-    if jobs > 1 and total >= 1 << 12:
-        chunk = (total + jobs - 1) // jobs
-        tasks = [(inst, slots, start, min(start + chunk, total))
-                 for start in range(0, total, chunk)]
-        with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
-            found = [d for hits in pool.map(_verify_mask_range, tasks) for d in hits]
-    else:
-        found = _verify_mask_range((inst, slots, 0, total))
-    return sorted(found, key=lambda d: tuple(sorted(d)))
+    chunks = _fan_out(_verify_mask_range, lambda start, stop: (inst, slots, start, stop),
+                      1 << len(slots), jobs, 1 << 12)
+    return sorted((d for hits in chunks for d in hits), key=lambda d: tuple(sorted(d)))
 
 
 def characterization_check(graph: Graph, coloring: Coloring, word: Sequence[str],

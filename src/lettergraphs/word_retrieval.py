@@ -23,18 +23,12 @@ import heapq
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-from .errors import MalformedInstanceError
-from .graphs import Coloring, Graph, check_total_coloring, color_masks, members
-from .letters import Decoder, Word, decoder_letters, normalize_decoder
+from .graphs import Coloring, Graph, color_masks, members
+from .letters import Word, checked_decoder
 
 
-def _check_decoder_alphabet(coloring: Coloring, decoder: Decoder) -> None:
-    stray = decoder_letters(decoder) - set(coloring.alphabet)
-    if stray:
-        raise MalformedInstanceError(f"decoder letters outside the alphabet: {sorted(stray)}")
-
-
-def _successor_masks(graph: Graph, coloring: Coloring, decoder: Decoder) -> list[int]:
+def _successor_masks(graph: Graph, coloring: Coloring,
+                     decoder: Iterable[Sequence[str]]) -> list[int]:
     """Arc bitmask per vertex index; bit j of succ[i] means arc (i, j).
 
     before[c] holds the vertices whose letter x has (x, c) in D, so the arcs
@@ -42,7 +36,7 @@ def _successor_masks(graph: Graph, coloring: Coloring, decoder: Decoder) -> list
     """
     masks = color_masks(graph, coloring)
     before = dict.fromkeys(coloring.alphabet, 0)
-    for x, c in decoder:
+    for x, c in checked_decoder(decoder, coloring.alphabet):
         before[c] |= masks[x]
     return [(row ^ before[coloring[v]]) & ~(1 << i)
             for i, (v, row) in enumerate(zip(graph.vertices, graph.adjacency_masks()))]
@@ -70,24 +64,6 @@ def _topological_indices(succ: list[int]) -> Optional[list[int]]:
     return order
 
 
-class OrderDigraph:
-    """The precedence digraph, materialized with named arcs."""
-
-    __slots__ = ("vertices", "arcs", "_succ")
-
-    def __init__(self, vertices: Sequence[str], succ: list[int]):
-        self.vertices = tuple(vertices)
-        self._succ = list(succ)
-        self.arcs = frozenset((self.vertices[i], self.vertices[j])
-                              for i, row in enumerate(succ) for j in members(row))
-
-    def has_arc(self, u: str, v: str) -> bool:
-        return (u, v) in self.arcs
-
-    def __repr__(self) -> str:
-        return f"OrderDigraph({list(self.vertices)!r}, arcs={sorted(self.arcs)!r})"
-
-
 @dataclass(frozen=True)
 class GeneralizedSolution:
     """A vertex order realizing the graph, with its induced color word."""
@@ -96,35 +72,14 @@ class GeneralizedSolution:
     word: Word
 
 
-def build_order_digraph(graph: Graph, coloring: Coloring,
-                        decoder: Iterable[Sequence[str]]) -> OrderDigraph:
-    check_total_coloring(graph, coloring)
-    d = normalize_decoder(decoder)
-    _check_decoder_alphabet(coloring, d)
-    return OrderDigraph(graph.vertices, _successor_masks(graph, coloring, d))
-
-
-def topological_order(digraph: OrderDigraph) -> Optional[list[str]]:
-    """A topological order of the digraph, or None if it has a cycle.
-
-    Deterministic: among available sources the smallest vertex index wins.
-    """
-    order = _topological_indices(digraph._succ)
-    if order is None:
-        return None
-    return [digraph.vertices[i] for i in order]
-
-
 def retrieve_word(graph: Graph, coloring: Coloring,
                   decoder: Iterable[Sequence[str]]) -> Optional[GeneralizedSolution]:
     """Find a vertex order whose color word decodes back to the graph.
 
-    Returns None exactly when no such order exists.
+    Returns None exactly when no such order exists.  Among the valid orders
+    the smallest vertex index wins whenever several vertices are ready.
     """
-    check_total_coloring(graph, coloring)
-    d = decoder if isinstance(decoder, frozenset) else normalize_decoder(decoder)
-    _check_decoder_alphabet(coloring, d)
-    order = _topological_indices(_successor_masks(graph, coloring, d))
+    order = _topological_indices(_successor_masks(graph, coloring, decoder))
     if order is None:
         return None
     permutation = tuple(graph.vertices[i] for i in order)

@@ -109,6 +109,19 @@ def test_nd_and_lettericity(banane_path, capsys):
     assert code == 0 and doc["value"] <= 4
 
 
+@pytest.mark.parametrize("argv", [["sym-lettericity"], ["lettericity", "--max-k", "1"]])
+def test_lettericity_of_the_empty_graph(argv, capsys, monkeypatch):
+    monkeypatch.setattr("sys.stdin", io.StringIO('{"graph": {"vertices": []}}'))
+    code, doc = run(capsys, argv + ["-"])
+    assert code == 0
+    assert list(doc)[-1] == "timing_ms" and doc.pop("timing_ms") >= 0
+    expected = {"status": "solution", "value": 0, "alphabet": [], "word": [],
+                "decoder": [], "coloring": {}}
+    if argv[0] == "lettericity":
+        expected["mapping"] = {}
+    assert list(doc.items()) == list(expected.items())
+
+
 def test_lettericity_infeasible_bound(banane_path, capsys):
     code, doc = run(capsys, ["lettericity", "--max-k", "1", banane_path])
     assert code == 1 and doc["status"] == "infeasible"

@@ -1,9 +1,7 @@
-import pytest
 from hypothesis import given, settings, strategies as st
 
-from lettergraphs import (Graph, MalformedInstanceError, decode,
-                          neighborhood_diversity, symmetric_witness,
-                          twin_partition, verify_decoder)
+from lettergraphs import (Graph, decode, neighborhood_diversity,
+                          symmetric_witness, twin_partition, verify_decoder)
 from lettergraphs.graphs import are_generalized_twins
 from lettergraphs.letters import check_realization, is_symmetric_decoder
 from instances import random_graph
@@ -78,9 +76,13 @@ def test_symmetric_witness_on_star():
     assert verify_decoder(star(3), witness.coloring, witness.word, witness.decoder)
 
 
-def test_symmetric_witness_empty_graph_raises():
-    with pytest.raises(MalformedInstanceError):
-        symmetric_witness(Graph([]))
+def test_symmetric_witness_of_the_empty_graph_is_empty():
+    g = Graph([])
+    witness = symmetric_witness(g)
+    assert witness.k == 0
+    assert (witness.alphabet, witness.word, witness.decoder) == ((), (), frozenset())
+    assert witness.coloring.assignment == {} and witness.mapping == {}
+    check_realization(g, witness.mapping, witness.word, witness.decoder, witness.coloring)
 
 
 def test_symmetric_witness_clique_blocks_use_self_pairs():
@@ -103,6 +105,19 @@ def test_witness_always_realizes_the_graph(n, rng, p):
     # counts match the block sizes by construction
     colored = decode(witness.decoder, witness.word, witness.alphabet)
     assert colored.graph.edge_count == g.edge_count
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(min_value=0, max_value=9), st.randoms(use_true_random=False),
+       st.floats(min_value=0.0, max_value=1.0))
+def test_no_vertex_has_both_an_open_and_a_closed_twin(n, rng, p):
+    g = random_graph(rng, n, p)
+    adj = g.adjacency_masks()
+    for i in range(n):
+        others = [j for j in range(n) if j != i]
+        open_twin = any(adj[j] == adj[i] for j in others)
+        closed_twin = any(adj[j] | 1 << j == adj[i] | 1 << i for j in others)
+        assert not (open_twin and closed_twin)
 
 
 @settings(max_examples=80, deadline=None)

@@ -64,7 +64,7 @@ class TestEdgeBounds:
         slots, caps, partner = _decoder_slots(("a", "b"), {"a": 2, "b": 1},
                                               symmetric=False)
         assert slots == [("a", "a"), ("a", "b"), ("b", "a")]
-        low, high = _edge_bound_tables(caps, partner, symmetric=False)
+        low, high = _edge_bound_tables(caps, partner)
         for mask in range(1 << len(slots)):
             decoder = _mask_decoder(slots, mask, symmetric=False)
             counts = set()
