@@ -85,16 +85,19 @@ def test_coloring_explicit_alphabet_allows_unused_letters():
         Coloring({"v": "a"}, ("a", "a"))
 
 
-def test_color_masks():
-    g = Graph(["x", "y", "z"])
-    c = Coloring({"x": "a", "y": "b", "z": "a"}, ("a", "b", "c"))
-    assert color_masks(g, c) == {"a": 0b101, "b": 0b010, "c": 0}
+def test_check_total_coloring():
     g = Graph(["x", "y"])
     assert color_masks(g, Coloring({"x": "a", "y": "a"})) == {"a": 0b11}
     with pytest.raises(MalformedInstanceError, match="not total"):
         color_masks(g, Coloring({"x": "a"}))
     with pytest.raises(MalformedInstanceError, match="not total"):
         color_masks(g, Coloring({"x": "a", "y": "a", "z": "a"}))
+
+
+def test_color_masks():
+    g = Graph(["x", "y", "z"])
+    c = Coloring({"x": "a", "y": "b", "z": "a"}, ("a", "b", "c"))
+    assert color_masks(g, c) == {"a": 0b101, "b": 0b010, "c": 0}
 
 
 @st.composite
