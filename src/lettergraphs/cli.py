@@ -229,6 +229,8 @@ def gen_instance(seed: int, n: int, k: int, mode: str, feasible: bool) -> Instan
     if not 1 <= k <= min(n, 26):
         raise MalformedInstanceError("gen needs 1 <= k <= min(n, 26)")
     if not feasible:
+        if n < 2:
+            raise MalformedInstanceError("gen --feasible false needs n >= 2")
         if mode == "word" and n > 7:
             raise SizeLimitError("gen --feasible false --mode word needs n <= 7")
         if mode == "decoder" and k > 4:

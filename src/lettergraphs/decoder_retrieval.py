@@ -16,9 +16,12 @@ respecting chi:
 
 Everything runs on one DecoderInstance, built and validated once per call:
 adjacency rows and per-letter vertex masks, the within-letter status and
-pair kinds, and each pair's projected word, cached on first use.  A block
-(a center letter, its partners, and only the center-to-partner edges) is
-checked by masking the instance's rows, not by building a smaller graph.
+pair kinds, the word projected to each letter set (cached per set), and a
+block table.  Letter b's block is its one-sided partners x whose projection
+w[x, b] has at least two b-runs; the table lists each block with its
+palindromic members, and every solver step reads it instead of deriving it
+again.  A block check (a center letter, its partners, and only the
+center-to-partner edges) masks the instance's rows, not a smaller graph.
 """
 
 from __future__ import annotations
@@ -82,6 +85,7 @@ class DecoderInstance:
         self.letters = sorted(coloring.alphabet)
         self.adj = graph.adjacency_masks()
         self._whole = dict.fromkeys(self.letters, (1 << graph.n) - 1)
+        self._projections: dict[frozenset[str], Word] = {}
         self._pair_words: dict[tuple[str, str], PairWord] = {}
 
     def require_used_letters(self) -> None:
@@ -132,18 +136,34 @@ class DecoderInstance:
     def one_sided(self) -> list[tuple[str, str]]:
         return [pair for pair, kind in self.pair_kinds.items() if kind is PairKind.ONE_SIDED]
 
-    def partners(self, a: str) -> list[str]:
-        """Letters forming a one-sided pair with a, in sorted order."""
-        return [b for b in self.letters if b != a and self.kind(a, b) is PairKind.ONE_SIDED]
+    def projection(self, letters: Iterable[str]) -> Word:
+        """The word projected to the letters, computed once per letter set."""
+        key = frozenset(letters)
+        word = self._projections.get(key)
+        if word is None:
+            word = self._projections[key] = project_word(self.word, key)
+        return word
 
     def pair_word(self, a: str, b: str) -> PairWord:
         key = (a, b) if a < b else (b, a)
         pair = self._pair_words.get(key)
         if pair is None:
-            word = project_word(self.word, key)
+            word = self.projection(key)
             pair = PairWord(word, {c: count_runs(word, c) for c in key}, is_palindrome(word))
             self._pair_words[key] = pair
         return pair
+
+    @cached_property
+    def blocks(self) -> dict[str, tuple[list[str], list[str]]]:
+        """Per letter b: its block, the letters x forming a one-sided pair
+        with b whose projection has at least two b-runs, and the block's
+        letters whose projection with b is a palindrome; both sorted."""
+        table = {}
+        for b in self.letters:
+            block = [x for x in self.letters if x != b and self.kind(x, b) is PairKind.ONE_SIDED
+                     and self.pair_word(x, b).runs[b] >= 2]
+            table[b] = (block, [x for x in block if self.pair_word(x, b).palindrome])
+        return table
 
     def realizes(self, decoder: Iterable[DirectedPair]) -> bool:
         """Whether the decoder, over alphabet letters, realizes the whole instance."""
@@ -163,11 +183,7 @@ class DecoderInstance:
             partner_mask |= self.masks[b]
         rows = dict.fromkeys(partners, self.masks[center])
         rows[center] = partner_mask
-        if len(rows) == 2:
-            word = self.pair_word(*rows).word
-        else:
-            word = project_word(self.word, rows)
-        return self._peels(word, rows, decoder)
+        return self._peels(self.projection(rows), rows, decoder)
 
     def _peels(self, word: Sequence[str], rows: dict[str, int],
                decoder: Iterable[DirectedPair]) -> bool:
@@ -232,15 +248,12 @@ def forced_pair_word(inst: DecoderInstance, a: str,
     is exposed; checking both candidates is simpler and just as fast at
     this scale.)
     """
-    if inst.kind(a, b) is not PairKind.ONE_SIDED:
-        raise InternalConsistencyError("forced_pair_word needs a one-sided pair")
-    pair = inst.pair_word(a, b)
-    if pair.runs[a] < 2 and pair.runs[b] < 2:
-        raise InternalConsistencyError("pair word has a single run of each letter")
+    if b not in inst.blocks[a][0] and a not in inst.blocks[b][0]:
+        raise InternalConsistencyError("forced_pair_word needs a pair in some letter's block")
     ok_ab = inst.realizes_block(a, (b,), {(a, b)})
     ok_ba = inst.realizes_block(a, (b,), {(b, a)})
     if ok_ab and ok_ba:
-        if not pair.palindrome:
+        if not inst.pair_word(a, b).palindrome:
             raise InternalConsistencyError("both orientations fit a non-palindromic pair word")
         return PairStatus.FREE, None
     if ok_ab:
@@ -254,23 +267,19 @@ def cascade_word(inst: DecoderInstance, a: str, b: str, c: str,
                  premise: DirectedPair) -> Optional[DirectedPair]:
     """Propagate a pair orientation across a shared letter.
 
-    Given one-sided pairs {a, b} and {b, c} whose projections both have at
-    least two b-runs, with w[b, c] a palindrome, assume the {a, b} choice is
-    `premise` and test the decoders {premise, bc} and {premise, cb} on the
-    block of edges leaving V_b.  At most one fits; if neither does, no
+    Given a and c in b's block, with w[b, c] a palindrome, assume the
+    {a, b} choice is `premise` and test the decoders {premise, bc} and
+    {premise, cb} on the block of edges leaving V_b.  At most one fits; if neither does, no
     solution contains the premise at all and None is returned.
     """
     if len({a, b, c}) != 3:
         raise InternalConsistencyError("cascade needs three distinct letters")
     if premise not in ((a, b), (b, a)):
         raise InternalConsistencyError("premise must orient the first pair")
-    for x, y in ((a, b), (b, c)):
-        if inst.kind(x, y) is not PairKind.ONE_SIDED:
-            raise InternalConsistencyError(f"pair {x}{y} is not one-sided")
-        if inst.pair_word(x, y).runs[b] < 2:
-            raise InternalConsistencyError(f"pair word {x}{y} needs two runs of {b!r}")
-    if not inst.pair_word(b, c).palindrome:
-        raise InternalConsistencyError("second pair word must be a palindrome")
+    block, palindromic = inst.blocks[b]
+    if a not in block or c not in palindromic:
+        raise InternalConsistencyError(f"{a!r} and {c!r} must be in {b!r}'s block, "
+                                       f"with w[{b}, {c}] a palindrome")
 
     ok_bc = inst.realizes_block(b, (a, c), {premise, (b, c)})
     ok_cb = inst.realizes_block(b, (a, c), {premise, (c, b)})
@@ -326,64 +335,49 @@ def _formula(inst: DecoderInstance) -> Optional[TwoSatFormula]:
         if status is PairStatus.INFEASIBLE:
             return None
         assert status is PairStatus.FORCED and direction is not None
-        forced[(a, b)] = direction
+        forced[a, b] = forced[b, a] = direction
         formula.add_clause((direction, True))
 
-    # Orientation links across a shared letter: for one-sided pairs {x, b}
-    # and {b, z} with two b-runs each and w[b, z] palindromic, each choice
-    # for {x, b} implies at most one choice for {b, z}.
+    # Orientation links across a shared letter: for x in b's block and z
+    # among its palindromic members, each choice for {x, b} implies at most
+    # one choice for {b, z}.  Each outcome is kept under its center b, since
+    # a premise xb can also belong to center x.
+    implied: dict[tuple[str, DirectedPair, str], Optional[DirectedPair]] = {}
     for b in inst.letters:
-        partners = inst.partners(b)
-        for x in partners:
-            if inst.pair_word(x, b).runs[b] < 2:
-                continue
-            for z in partners:
+        block, palindromic = inst.blocks[b]
+        for x in block:
+            for z in palindromic:
                 if z == x:
                     continue
-                p_bz = inst.pair_word(b, z)
-                if p_bz.runs[b] < 2 or not p_bz.palindrome:
-                    continue
                 for premise in ((x, b), (b, x)):
-                    implied = cascade_word(inst, x, b, z, premise)
-                    if implied is None:
+                    outcome = implied[b, premise, z] = cascade_word(inst, x, b, z, premise)
+                    if outcome is None:
                         formula.add_clause((premise, False))
                     else:
-                        formula.add_clause((premise, False), (implied, True))
+                        formula.add_clause((premise, False), (outcome, True))
 
-    # Per-letter block consistency: the orientations of all pairs {a, b}
-    # whose projections have two a-runs must together realize the edges
-    # leaving V_a.  Fixing one pair determines the rest, so each starting
-    # orientation that fails the block check is excluded by a unit clause.
+    # Per-letter block consistency: the orientations of all pairs in a's
+    # block must together realize the edges leaving V_a.  Fixing one pair
+    # determines the rest, so each starting orientation that fails the
+    # block check is excluded by a unit clause.  A start some cascade
+    # refuted already has that clause from the links above.
     for a in inst.letters:
-        block = [b for b in inst.partners(a) if inst.pair_word(a, b).runs[a] >= 2]
+        block, palindromic = inst.blocks[a]
         if not block:
             continue
-        palindromic = [b for b in block if inst.pair_word(a, b).palindrome]
-        plain = [b for b in block if b not in set(palindromic)]
+        plain = [b for b in block if b not in palindromic]
         if plain:
             b0 = plain[0]
-            key = (a, b0) if a < b0 else (b0, a)
-            starts = [forced[key]]
+            starts = [forced[a, b0]]
         else:
             b0 = palindromic[0]
             starts = [(a, b0), (b0, a)]
         for start in starts:
-            candidate = {start}
-            consistent = True
-            for c in block:
-                if c == b0:
-                    continue
-                if c in set(palindromic):
-                    implied = cascade_word(inst, b0, a, c, start)
-                    if implied is None:
-                        formula.add_clause((start, False))
-                        consistent = False
-                        break
-                    candidate.add(implied)
-                else:
-                    key = (a, c) if a < c else (c, a)
-                    candidate.add(forced[key])
-            if consistent and not inst.realizes_block(a, block, candidate):
+            outcomes = [implied[a, start, c] for c in palindromic if c != b0]
+            if None in outcomes:
+                continue
+            candidate = {start, *outcomes, *(forced[a, c] for c in plain)}
+            if not inst.realizes_block(a, block, candidate):
                 formula.add_clause((start, False))
     return formula
 

@@ -291,8 +291,7 @@ def characterization_check(graph: Graph, coloring: Coloring, word: Sequence[str]
             continue
         if not inst.realizes_block(a, (b,), d & {(a, b), (b, a)}):
             return False
-    for a in inst.letters:
-        block = [b for b in inst.partners(a) if inst.pair_word(a, b).runs[a] >= 2]
+    for a, (block, _) in inst.blocks.items():
         allowed = {(a, b) for b in block} | {(b, a) for b in block}
         if not inst.realizes_block(a, block, d & allowed):
             return False

@@ -285,6 +285,14 @@ def test_gen_guards(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("mode", ["word", "decoder", "coloring"])
+def test_gen_infeasible_needs_two_vertices(mode, capsys):
+    code = main(["gen", "--n", "1", "--k", "1", "--mode", mode, "--feasible", "false"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "n >= 2" in err and "Traceback" not in err
+
+
 def test_gen_instance_function_validates():
     from lettergraphs import MalformedInstanceError
     with pytest.raises(MalformedInstanceError):

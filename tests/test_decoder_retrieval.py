@@ -1,8 +1,12 @@
+import itertools
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from lettergraphs import (Coloring, Graph, MalformedInstanceError, decode,
-                          enumerate_decoders, retrieve_decoder, verify_decoder)
+                          decoder_retrieval, enumerate_decoders, retrieve_decoder,
+                          verify_decoder)
 from lettergraphs.decoder_retrieval import (DecoderInstance, PairKind,
                                             PairStatus, build_formula,
                                             cascade_word, forced_pair_word)
@@ -141,6 +145,17 @@ class TestPairMachinery:
         for decoder in decoders:
             assert inst.realizes_block(center, partners, decoder) == \
                 verify_decoder(*sub, decoder)
+        assert inst.projection(block) == sub[2]
+
+        # The block table, from its definition: one-sided partners x whose
+        # projection w[x, center] has at least two center-runs.
+        def projected(x):
+            return [ch for ch in word if ch in (x, center)]
+
+        expected = [x for x in others if inst.kind(x, center) is PairKind.ONE_SIDED
+                    and [key for key, _ in itertools.groupby(projected(x))].count(center) >= 2]
+        palindromic = [x for x in expected if projected(x) == projected(x)[::-1]]
+        assert inst.blocks[center] == (expected, palindromic)
 
     def test_forced_pair_word_orientations(self):
         inst = DecoderInstance(*forced_instance())
@@ -163,6 +178,40 @@ class TestPairMachinery:
         inst = DecoderInstance(*cascade_instance())
         assert cascade_word(inst, "a", "b", "c", ("b", "a")) == ("b", "c")
         assert cascade_word(inst, "a", "b", "c", ("a", "b")) is None
+
+
+def random_palindromic(rng, half, k):
+    """A decoded instance whose word is a random s followed by s reversed."""
+    letters = "abcdefgh"[:k]
+    start = [letters[i % k] for i in range(half)]
+    rng.shuffle(start)
+    word = start + start[::-1]
+    decoder = frozenset((a, b) for a in letters for b in letters if rng.random() < 0.5)
+    colored = decode(decoder, word, letters)
+    return colored.graph, colored.coloring, tuple(word)
+
+
+@pytest.mark.parametrize("instance", [
+    cascade_instance(),
+    random_palindromic(random.Random(3), 12, 5),
+], ids=["cascade", "palindromic-k5"])
+def test_each_cascade_and_projection_computed_once(instance, monkeypatch):
+    projected, cascades = [], []
+    real_project, real_cascade = decoder_retrieval.project_word, decoder_retrieval.cascade_word
+
+    def project(word, letters):
+        projected.append(frozenset(letters))
+        return real_project(word, letters)
+
+    def cascade(inst, a, b, c, premise):
+        cascades.append((b, premise, c))
+        return real_cascade(inst, a, b, c, premise)
+
+    monkeypatch.setattr(decoder_retrieval, "project_word", project)
+    monkeypatch.setattr(decoder_retrieval, "cascade_word", cascade)
+    assert retrieve_decoder(*instance) is not None
+    assert cascades and len(set(cascades)) == len(cascades)
+    assert len(set(projected)) == len(projected)
 
 
 class TestBuildFormula:
