@@ -3,9 +3,10 @@
 Every subcommand reads a JSON instance document (file path or "-" for
 stdin), runs one operation, and prints a JSON result document.  Exit codes:
 0 a solution or answer was produced, 1 the instance is infeasible, 2 the
-instance is malformed or cannot be read, 3 an exhaustive-search size guard
-refused the input, 70 an internal re-verification failed or an unexpected
-exception escaped (a bug, never an input problem).
+instance is malformed or cannot be read, or the -o file cannot be written,
+3 an exhaustive-search size guard refused the input, 70 an internal
+re-verification failed or an unexpected exception escaped (a bug, never an
+input problem).
 
 Solutions are re-verified in process before they are printed: a word or
 witness is checked position by position against the graph it claims to
@@ -357,25 +358,22 @@ def _write(text: str, path: Optional[str]) -> None:
             handle.write(text)
 
 
+def _run(args) -> tuple[str, int]:
+    if args.command == "gen":
+        return _cmd_gen(args)
+    doc = _read_instance(args.instance)
+    payload, code = _HANDLERS[args.command](doc, args)
+    return dump_json(payload), code
+
+
 def main(argv: Optional[list[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.command == "gen":
-            text, code = _cmd_gen(args)
-            _write(text, args.output)
-            return code
-        doc = _read_instance(args.instance)
-        payload, code = _HANDLERS[args.command](doc, args)
-        _write(dump_json(payload), args.output)
-        return code
-    except MalformedInstanceError as exc:
+        text, code = _run(args)
+    except (MalformedInstanceError, SizeLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        _write(dump_json({"status": "error", "error": str(exc)}), getattr(args, "output", None))
-        return EXIT_MALFORMED
-    except SizeLimitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        _write(dump_json({"status": "error", "error": str(exc)}), getattr(args, "output", None))
-        return EXIT_SIZE_LIMIT
+        text = dump_json({"status": "error", "error": str(exc)})
+        code = EXIT_MALFORMED if isinstance(exc, MalformedInstanceError) else EXIT_SIZE_LIMIT
     except InternalConsistencyError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
@@ -384,6 +382,13 @@ def main(argv: Optional[list[str]] = None) -> int:
         traceback.print_exc()
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
+    try:
+        _write(text, args.output)
+    except OSError as exc:
+        # The answer or error document is lost, so its exit code would lie.
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
+        return EXIT_MALFORMED
+    return code
 
 
 def entrypoint() -> None:

@@ -15,13 +15,16 @@ respecting chi:
     candidate decoders on blocks of the instance.
 
 Everything runs on one DecoderInstance, built and validated once per call:
-adjacency rows and per-letter vertex masks, the within-letter status and
-pair kinds, the word projected to each letter set (cached per set), and a
-block table.  Letter b's block is its one-sided partners x whose projection
-w[x, b] has at least two b-runs; the table lists each block with its
-palindromic members, and every solver step reads it instead of deriving it
-again.  A block check (a center letter, its partners, and only the
-center-to-partner edges) masks the instance's rows, not a smaller graph.
+adjacency rows and per-letter vertex masks, the word projected to each
+letter set (cached per set), and two tables.  The pair table classifies
+every letter pair a <= b as full, empty or one-sided by one edge count; a
+self pair (a, a) stands for the class itself, full for a clique of at least
+two vertices, empty for an independent class, one-sided for a mixed one.
+The block table lists, per letter b, its one-sided partners x whose
+projection w[x, b] has at least two b-runs, with the palindromic ones among
+them; every solver step reads it instead of deriving it again.  A block
+check (a center letter, its partners, and only the center-to-partner edges)
+masks the instance's rows, not a smaller graph.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from __future__ import annotations
 from collections import Counter
 from enum import Enum
 from functools import cached_property
-from typing import Iterable, NamedTuple, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .errors import InternalConsistencyError, MalformedInstanceError
 from .graphs import Coloring, Graph, color_masks, members
@@ -50,14 +53,6 @@ class PairKind(Enum):
     FULL = "full"
     EMPTY = "empty"
     ONE_SIDED = "one-sided"
-
-
-class PairWord(NamedTuple):
-    """The word projected to a letter pair, with each letter's run count."""
-
-    word: Word
-    runs: dict[str, int]
-    palindrome: bool
 
 
 class DecoderInstance:
@@ -86,7 +81,6 @@ class DecoderInstance:
         self.adj = graph.adjacency_masks()
         self._whole = dict.fromkeys(self.letters, (1 << graph.n) - 1)
         self._projections: dict[frozenset[str], Word] = {}
-        self._pair_words: dict[tuple[str, str], PairWord] = {}
 
     def require_used_letters(self) -> None:
         for a, mask in self.masks.items():
@@ -94,47 +88,31 @@ class DecoderInstance:
                 raise MalformedInstanceError(f"letter {a!r} colors no vertex")
 
     @cached_property
-    def within(self) -> dict[str, Optional[str]]:
-        """Per letter: "clique", "independent", or None when G[V_a] is neither."""
-        status: dict[str, Optional[str]] = {}
-        for a in self.letters:
-            mask = self.masks[a]
-            size = mask.bit_count()
-            inside = sum((self.adj[v] & mask).bit_count() for v in members(mask)) // 2
-            if inside == size * (size - 1) // 2 and size >= 2:
-                status[a] = "clique"
-            elif inside == 0:
-                status[a] = "independent"
-            else:
-                status[a] = None
-        return status
-
-    @cached_property
     def pair_kinds(self) -> dict[tuple[str, str], PairKind]:
-        """Kind of every letter pair (a, b) with a < b, in sorted order."""
+        """Kind of every letter pair (a, b) with a <= b, in sorted order.
+
+        The edges counted between the classes are compared with all
+        |A| * (|B| - [a = b]) possible ones; counted from both ends, a
+        class's inner edges meet that capacity exactly when it is a clique.
+        """
         kinds = {}
         for i, a in enumerate(self.letters):
             rows = [self.adj[v] for v in members(self.masks[a])]
-            for b in self.letters[i + 1:]:
+            for b in self.letters[i:]:
                 mask_b = self.masks[b]
                 count = sum((row & mask_b).bit_count() for row in rows)
                 if count == 0:
-                    kinds[(a, b)] = PairKind.EMPTY
-                elif count == len(rows) * mask_b.bit_count():
-                    kinds[(a, b)] = PairKind.FULL
+                    kinds[a, b] = PairKind.EMPTY
+                elif count == len(rows) * (mask_b.bit_count() - (a == b)):
+                    kinds[a, b] = PairKind.FULL
                 else:
-                    kinds[(a, b)] = PairKind.ONE_SIDED
+                    kinds[a, b] = PairKind.ONE_SIDED
         return kinds
 
-    def kind(self, a: str, b: str) -> PairKind:
-        try:
-            return self.pair_kinds[(a, b) if a < b else (b, a)]
-        except KeyError:
-            raise MalformedInstanceError(
-                f"{a!r} and {b!r} are not two distinct alphabet letters") from None
-
     def one_sided(self) -> list[tuple[str, str]]:
-        return [pair for pair, kind in self.pair_kinds.items() if kind is PairKind.ONE_SIDED]
+        """The one-sided pairs of two distinct letters, in sorted order."""
+        return [(a, b) for (a, b), kind in self.pair_kinds.items()
+                if kind is PairKind.ONE_SIDED and a != b]
 
     def projection(self, letters: Iterable[str]) -> Word:
         """The word projected to the letters, computed once per letter set."""
@@ -144,26 +122,30 @@ class DecoderInstance:
             word = self._projections[key] = project_word(self.word, key)
         return word
 
-    def pair_word(self, a: str, b: str) -> PairWord:
-        key = (a, b) if a < b else (b, a)
-        pair = self._pair_words.get(key)
-        if pair is None:
-            word = self.projection(key)
-            pair = PairWord(word, {c: count_runs(word, c) for c in key}, is_palindrome(word))
-            self._pair_words[key] = pair
-        return pair
-
     @cached_property
     def blocks(self) -> dict[str, tuple[list[str], list[str]]]:
         """Per letter b: its block, the letters x forming a one-sided pair
         with b whose projection has at least two b-runs, and the block's
         letters whose projection with b is a palindrome; both sorted."""
+        partners: dict[str, list[str]] = {b: [] for b in self.letters}
+        for a, b in self.one_sided():
+            partners[a].append(b)
+            partners[b].append(a)
         table = {}
-        for b in self.letters:
-            block = [x for x in self.letters if x != b and self.kind(x, b) is PairKind.ONE_SIDED
-                     and self.pair_word(x, b).runs[b] >= 2]
-            table[b] = (block, [x for x in block if self.pair_word(x, b).palindrome])
+        for b, others in partners.items():
+            block = [x for x in others if count_runs(self.projection((x, b)), b) >= 2]
+            table[b] = (block, [x for x in block if is_palindrome(self.projection((x, b)))])
         return table
+
+    def single_run_pair(self) -> Optional[tuple[str, str]]:
+        """The first one-sided pair in neither letter's block, or None.
+
+        Its projection is one run of each letter, so either orientation
+        would make the first run's vertices see the whole other class,
+        which a one-sided pair rules out: no decoder exists.
+        """
+        return next(((a, b) for a, b in self.one_sided()
+                     if b not in self.blocks[a][0] and a not in self.blocks[b][0]), None)
 
     def realizes(self, decoder: Iterable[DirectedPair]) -> bool:
         """Whether the decoder, over alphabet letters, realizes the whole instance."""
@@ -231,36 +213,30 @@ def verify_decoder(graph: Graph, coloring: Coloring, word: Sequence[str],
     return inst.realizes(checked_decoder(decoder, coloring.alphabet))
 
 
-class PairStatus(Enum):
-    FORCED = "forced"
-    FREE = "free"
-    INFEASIBLE = "infeasible"
+def forced_pair_word(inst: DecoderInstance, a: str, b: str) -> Optional[DirectedPair]:
+    """The one of ab / ba that realizes the pair's cross edges on its own,
+    or None when neither does.
 
-
-def forced_pair_word(inst: DecoderInstance, a: str,
-                     b: str) -> tuple[PairStatus, Optional[DirectedPair]]:
-    """Which of ab / ba can realize the pair's cross edges on its own.
-
-    Checks the two singleton candidates {ab} and {ba} on the pair's block.
-    Exactly one passing pins the orientation; for a non-palindromic
-    projection at most one can pass.  (An equivalent derivation strips
-    matching first and last runs off the projection until the orientation
-    is exposed; checking both candidates is simpler and just as fast at
-    this scale.)
+    Checks the two singleton candidates {ab} and {ba} on the pair's block;
+    for a non-palindromic projection at most one can pass, and a
+    palindromic one is refused.  (An equivalent derivation strips matching
+    first and last runs off the projection until the orientation is
+    exposed; checking both candidates is simpler and just as fast at this
+    scale.)
     """
     if b not in inst.blocks[a][0] and a not in inst.blocks[b][0]:
         raise InternalConsistencyError("forced_pair_word needs a pair in some letter's block")
+    if is_palindrome(inst.projection((a, b))):
+        raise InternalConsistencyError("forced_pair_word needs a non-palindromic pair word")
     ok_ab = inst.realizes_block(a, (b,), {(a, b)})
     ok_ba = inst.realizes_block(a, (b,), {(b, a)})
     if ok_ab and ok_ba:
-        if not inst.pair_word(a, b).palindrome:
-            raise InternalConsistencyError("both orientations fit a non-palindromic pair word")
-        return PairStatus.FREE, None
+        raise InternalConsistencyError("both orientations fit a non-palindromic pair word")
     if ok_ab:
-        return PairStatus.FORCED, (a, b)
+        return (a, b)
     if ok_ba:
-        return PairStatus.FORCED, (b, a)
-    return PairStatus.INFEASIBLE, None
+        return (b, a)
+    return None
 
 
 def cascade_word(inst: DecoderInstance, a: str, b: str, c: str,
@@ -307,17 +283,10 @@ def build_formula(graph: Graph, coloring: Coloring,
 
 
 def _formula(inst: DecoderInstance) -> Optional[TwoSatFormula]:
-    if any(status is None for status in inst.within.values()):
+    mixed = any(inst.pair_kinds[a, a] is PairKind.ONE_SIDED for a in inst.letters)
+    if mixed or inst.single_run_pair() is not None:
         return None
     one_sided = inst.one_sided()
-    for a, b in one_sided:
-        runs = inst.pair_word(a, b).runs
-        if runs[a] < 2 and runs[b] < 2:
-            # One run of each letter: either orientation would make the
-            # first-run vertices universal toward the other side, which a
-            # one-sided pair cannot satisfy.
-            return None
-
     variables: list[DirectedPair] = []
     for a, b in one_sided:
         variables.append((a, b))
@@ -329,12 +298,11 @@ def _formula(inst: DecoderInstance) -> Optional[TwoSatFormula]:
         formula.add_clause(((a, b), True), ((b, a), True))
         formula.add_clause(((a, b), False), ((b, a), False))
     for a, b in one_sided:
-        if inst.pair_word(a, b).palindrome:
+        if is_palindrome(inst.projection((a, b))):
             continue
-        status, direction = forced_pair_word(inst, a, b)
-        if status is PairStatus.INFEASIBLE:
+        direction = forced_pair_word(inst, a, b)
+        if direction is None:
             return None
-        assert status is PairStatus.FORCED and direction is not None
         forced[a, b] = forced[b, a] = direction
         formula.add_clause((direction, True))
 
@@ -394,13 +362,9 @@ def retrieve_decoder(graph: Graph, coloring: Coloring,
     if model is None:
         return None
     chosen = {pair for pair, value in model.items() if value}
-    for a, status in inst.within.items():
-        if status == "clique":
-            chosen.add((a, a))
     for (a, b), kind in inst.pair_kinds.items():
         if kind is PairKind.FULL:
-            chosen.add((a, b))
-            chosen.add((b, a))
+            chosen.update(((a, b), (b, a)))
     decoder = frozenset(chosen)
     if not inst.realizes(decoder):
         raise InternalConsistencyError("assembled decoder failed verification")

@@ -29,7 +29,7 @@ from typing import Optional, Sequence
 from .decoder_retrieval import DecoderInstance, PairKind
 from .errors import MalformedInstanceError, SizeLimitError
 from .graphs import Coloring, Graph
-from .letters import Decoder, Realization, normalize_decoder
+from .letters import Decoder, Realization, checked_decoder
 from .word_retrieval import retrieve_word
 
 ORACLE_LETTERS = "abcdef"
@@ -267,8 +267,9 @@ def enumerate_decoders(graph: Graph, coloring: Coloring, word: Sequence[str],
 
 def characterization_check(graph: Graph, coloring: Coloring, word: Sequence[str],
                            decoder) -> bool:
-    """Blockwise test of a decoder: within-letter, settled pairs, and the
-    per-letter one-sided blocks must each verify on their own block.
+    """Blockwise test of a decoder: every class and every full or empty
+    pair (one row each of the pair table; a mixed class always fails) and
+    every letter's block of one-sided partners must verify on its own.
 
     Requires every one-sided pair's projection to have at least two runs of
     one of its letters; instances violating that are rejected as malformed
@@ -276,21 +277,15 @@ def characterization_check(graph: Graph, coloring: Coloring, word: Sequence[str]
     """
     inst = DecoderInstance(graph, coloring, word)
     inst.require_used_letters()
-    d = normalize_decoder(decoder)
-    for a, b in inst.one_sided():
-        runs = inst.pair_word(a, b).runs
-        if runs[a] < 2 and runs[b] < 2:
-            raise MalformedInstanceError(
-                f"one-sided pair {a}{b} has a single run of each letter")
-
-    for a in inst.letters:
-        if not inst.realizes_block(a, (a,), d & {(a, a)}):
-            return False
+    d = checked_decoder(decoder, coloring.alphabet)
+    pair = inst.single_run_pair()
+    if pair is not None:
+        raise MalformedInstanceError(
+            f"one-sided pair {pair[0]}{pair[1]} has a single run of each letter")
     for (a, b), kind in inst.pair_kinds.items():
-        if kind is PairKind.ONE_SIDED:
-            continue
-        if not inst.realizes_block(a, (b,), d & {(a, b), (b, a)}):
-            return False
+        if a == b or kind is not PairKind.ONE_SIDED:
+            if not inst.realizes_block(a, (b,), d & {(a, b), (b, a)}):
+                return False
     for a, (block, _) in inst.blocks.items():
         allowed = {(a, b) for b in block} | {(b, a) for b in block}
         if not inst.realizes_block(a, block, d & allowed):

@@ -30,7 +30,8 @@ class TwoSatFormula:
         self._clauses: list[tuple[Literal, ...]] = []
         self._seen: set[tuple[Literal, ...]] = set()
 
-    def add_clause(self, *literals: Literal) -> None:
+    def _clause(self, literals: tuple[Literal, ...]) -> tuple[Literal, ...]:
+        """The literals validated, deduplicated and sorted by variable order."""
         if not 1 <= len(literals) <= 2:
             raise MalformedInstanceError("a clause needs one or two literals")
         for var, polarity in literals:
@@ -38,7 +39,10 @@ class TwoSatFormula:
                 raise MalformedInstanceError(f"undeclared 2-SAT variable {var!r}")
             if not isinstance(polarity, bool):
                 raise MalformedInstanceError("literal polarity must be a bool")
-        clause = tuple(sorted(set(literals), key=lambda lit: (self._var_index[lit[0]], lit[1])))
+        return tuple(sorted(set(literals), key=lambda lit: (self._var_index[lit[0]], lit[1])))
+
+    def add_clause(self, *literals: Literal) -> None:
+        clause = self._clause(literals)
         if clause in self._seen:
             return
         self._seen.add(clause)
@@ -49,8 +53,7 @@ class TwoSatFormula:
         return tuple(self._clauses)
 
     def has_clause(self, *literals: Literal) -> bool:
-        clause = tuple(sorted(set(literals), key=lambda lit: (self._var_index[lit[0]], lit[1])))
-        return clause in self._seen
+        return self._clause(literals) in self._seen
 
     def __repr__(self) -> str:
         return f"TwoSatFormula(variables={len(self.variables)}, clauses={len(self._clauses)})"

@@ -151,6 +151,18 @@ def test_malformed_instance_exit_2(capsys, tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("instance", ["readable", "missing"])
+def test_unwritable_output_exit_2(instance, banane_path, capsys, tmp_path):
+    # Neither the answer nor the error document can be written, so the exit
+    # code must claim neither.
+    path = banane_path if instance == "readable" else str(tmp_path / "missing.json")
+    code = main(["nd", path, "-o", str(tmp_path / "no-such-dir" / "out.json")])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "error: cannot write output:" in captured.err
+    assert captured.out == ""
+
+
 def test_unparseable_instance_exit_2(capsys, tmp_path):
     deep = tmp_path / "deep.json"
     deep.write_text("[" * 100000 + "]" * 100000)

@@ -4,12 +4,12 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lettergraphs import (Coloring, Graph, MalformedInstanceError, decode,
-                          decoder_retrieval, enumerate_decoders, retrieve_decoder,
-                          verify_decoder)
+from lettergraphs import (Coloring, Graph, InternalConsistencyError,
+                          MalformedInstanceError, decode, decoder_retrieval,
+                          enumerate_decoders, retrieve_decoder, verify_decoder)
 from lettergraphs.decoder_retrieval import (DecoderInstance, PairKind,
-                                            PairStatus, build_formula,
-                                            cascade_word, forced_pair_word)
+                                            build_formula, cascade_word,
+                                            forced_pair_word)
 from instances import (banane_instance, bijection_verifies, cascade_instance,
                        forced_instance, random_realizable)
 
@@ -96,27 +96,62 @@ def sub_instance(graph, coloring, word, center, partners):
 class TestPairMachinery:
     def test_classify_forced_pair(self):
         inst = DecoderInstance(*forced_instance())
-        assert inst.kind("a", "b") is PairKind.ONE_SIDED
-        assert inst.kind("b", "a") is PairKind.ONE_SIDED
-        assert inst.within == {"a": "independent", "b": "independent"}
-        pair = inst.pair_word("a", "b")
-        assert pair.word == tuple("abbaba")
-        assert pair.runs == {"a": 3, "b": 2}
-        assert not pair.palindrome
-        assert inst.pair_word("b", "a") is pair
+        assert inst.pair_kinds == {("a", "a"): PairKind.EMPTY, ("a", "b"): PairKind.ONE_SIDED,
+                                   ("b", "b"): PairKind.EMPTY}
+        assert inst.one_sided() == [("a", "b")]
+        assert inst.projection("ab") == tuple("abbaba")
+        assert inst.projection("ba") is inst.projection("ab")
+        # abbaba has three a-runs and two b-runs and is not a palindrome
+        assert inst.blocks == {"a": (["b"], []), "b": (["a"], [])}
 
     def test_classify_full_and_empty(self):
-        g = Graph(["a1", "a2", "b1", "c1"], [("a1", "a2"), ("a1", "b1"), ("a2", "b1")])
-        c = Coloring({"a1": "a", "a2": "a", "b1": "b", "c1": "c"}, ("a", "b", "c"))
-        inst = DecoderInstance(g, c, tuple("aabc"))
-        assert inst.kind("a", "b") is PairKind.FULL
-        assert inst.kind("a", "c") is PairKind.EMPTY
+        g = Graph(["a1", "a2", "b1", "c1", "d1", "d2", "d3"],
+                  [("a1", "a2"), ("a1", "b1"), ("a2", "b1"), ("d1", "d2")])
+        c = Coloring({"a1": "a", "a2": "a", "b1": "b", "c1": "c",
+                      "d1": "d", "d2": "d", "d3": "d"}, ("a", "b", "c", "d"))
+        inst = DecoderInstance(g, c, tuple("aabcddd"))
+        kinds = inst.pair_kinds
+        assert list(kinds) == [(a, b) for a in "abcd" for b in "abcd" if a <= b]
+        # a two-vertex clique is full, a singleton and an edgeless class
+        # are empty, and a class with some but not all inner edges is mixed
+        assert kinds["a", "a"] is PairKind.FULL
+        assert kinds["b", "b"] is kinds["c", "c"] is PairKind.EMPTY
+        assert kinds["d", "d"] is PairKind.ONE_SIDED
+        assert kinds["a", "b"] is PairKind.FULL
+        assert kinds["a", "c"] is kinds["b", "d"] is PairKind.EMPTY
+        # a mixed class is no 2-SAT variable and no block partner
         assert inst.one_sided() == []
-        assert inst.within == {"a": "clique", "b": "independent", "c": "independent"}
-        with pytest.raises(MalformedInstanceError):
-            inst.kind("a", "a")
-        with pytest.raises(MalformedInstanceError):
-            inst.kind("a", "z")
+        assert all(table == ([], []) for table in inst.blocks.values())
+        assert build_formula(g, c, tuple("aabcddd")) is None
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(min_value=1, max_value=7), st.integers(min_value=1, max_value=4),
+           st.randoms(use_true_random=False), st.booleans())
+    def test_pair_kinds_from_definition(self, n, k, rng, flip):
+        # Each row compares the present edges between two classes (inside
+        # one class for a self pair) with all possible ones.
+        k = min(k, n)
+        graph, coloring, word, _ = random_realizable(rng, n, k)
+        if flip and n >= 2:
+            u, v = rng.sample(graph.vertices, 2)
+            edges = [e for e in graph.edge_list() if set(e) != {u, v}]
+            if not graph.has_edge(u, v):
+                edges.append((u, v))
+            graph = Graph(graph.vertices, edges)
+        letters = sorted(coloring.alphabet)
+        expected = {}
+        for i, a in enumerate(letters):
+            for b in letters[i:]:
+                pairs = [(x, y) for x in graph.vertices for y in graph.vertices
+                         if x != y and coloring[x] == a and coloring[y] == b]
+                present = sum(graph.has_edge(x, y) for x, y in pairs)
+                expected[a, b] = (PairKind.EMPTY if present == 0 else
+                                  PairKind.FULL if present == len(pairs) else
+                                  PairKind.ONE_SIDED)
+        inst = DecoderInstance(graph, coloring, word)
+        assert list(inst.pair_kinds.items()) == list(expected.items())
+        assert inst.one_sided() == [(a, b) for (a, b), kind in expected.items()
+                                    if a != b and kind is PairKind.ONE_SIDED]
 
     @settings(max_examples=150, deadline=None)
     @given(st.integers(min_value=1, max_value=7), st.integers(min_value=1, max_value=4),
@@ -152,27 +187,38 @@ class TestPairMachinery:
         def projected(x):
             return [ch for ch in word if ch in (x, center)]
 
-        expected = [x for x in others if inst.kind(x, center) is PairKind.ONE_SIDED
+        expected = [x for x in others
+                    if inst.pair_kinds[min(x, center), max(x, center)] is PairKind.ONE_SIDED
                     and [key for key, _ in itertools.groupby(projected(x))].count(center) >= 2]
         palindromic = [x for x in expected if projected(x) == projected(x)[::-1]]
         assert inst.blocks[center] == (expected, palindromic)
 
     def test_forced_pair_word_orientations(self):
         inst = DecoderInstance(*forced_instance())
-        assert forced_pair_word(inst, "a", "b") == (PairStatus.FORCED, ("a", "b"))
+        assert forced_pair_word(inst, "a", "b") == ("a", "b")
+        assert forced_pair_word(inst, "b", "a") == ("a", "b")
 
-    def test_forced_pair_word_free_on_palindrome(self):
+    def test_forced_pair_word_refuses_palindrome(self):
+        # aba puts the pair in a's block, but a palindromic pair word has no
+        # forced orientation; its pairs are left to the cascades.
         g = Graph(["a1", "a2", "b1"], [("a1", "b1")])
         c = Coloring({"a1": "a", "a2": "a", "b1": "b"}, ("a", "b"))
-        assert forced_pair_word(DecoderInstance(g, c, tuple("aba")), "a", "b") == \
-            (PairStatus.FREE, None)
+        inst = DecoderInstance(g, c, tuple("aba"))
+        assert inst.blocks["a"] == (["b"], ["b"])
+        with pytest.raises(InternalConsistencyError, match="palindromic"):
+            forced_pair_word(inst, "a", "b")
+
+    def test_forced_pair_word_needs_a_block_pair(self):
+        g = Graph(["a1", "a2", "b1", "b2"], [("a1", "b1")])
+        c = Coloring({"a1": "a", "a2": "a", "b1": "b", "b2": "b"}, ("a", "b"))
+        with pytest.raises(InternalConsistencyError, match="block"):
+            forced_pair_word(DecoderInstance(g, c, tuple("aabb")), "a", "b")
 
     def test_forced_pair_word_infeasible(self):
         # two disjoint cross edges over word abab fit neither orientation
         g = Graph(["a1", "a2", "b1", "b2"], [("a1", "b1"), ("a2", "b2")])
         c = Coloring({"a1": "a", "a2": "a", "b1": "b", "b2": "b"}, ("a", "b"))
-        assert forced_pair_word(DecoderInstance(g, c, tuple("abab")), "a", "b") == \
-            (PairStatus.INFEASIBLE, None)
+        assert forced_pair_word(DecoderInstance(g, c, tuple("abab")), "a", "b") is None
 
     def test_cascade_word_propagates_and_refutes(self):
         inst = DecoderInstance(*cascade_instance())

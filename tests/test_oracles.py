@@ -9,6 +9,7 @@ from lettergraphs import (Coloring, Graph, MalformedInstanceError,
                           characterization_check, decode, enumerate_decoders,
                           verify_decoder)
 from lettergraphs import oracles
+from lettergraphs.decoder_retrieval import DecoderInstance, build_formula
 from lettergraphs.oracles import (_decoder_slots, _edge_bound_tables,
                                   _mask_decoder, _stirling2,
                                   _surjective_colorings,
@@ -214,6 +215,31 @@ class TestCharacterization:
         assert characterization_check(graph, coloring, word, [("a", "b")])
         assert not characterization_check(graph, coloring, word, [("b", "a")])
         assert not characterization_check(graph, coloring, word, [])
+
+    def test_rejects_decoder_letters_outside_the_alphabet(self):
+        graph, coloring, word = forced_instance()
+        for check in (characterization_check, verify_decoder):
+            with pytest.raises(MalformedInstanceError, match="outside the alphabet"):
+                check(graph, coloring, word, [("a", "b"), ("z", "z")])
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(min_value=2, max_value=8), st.integers(min_value=2, max_value=4),
+           st.randoms(use_true_random=False))
+    def test_single_run_pair_named_alike(self, n, k, rng):
+        # The instance's single-run pair, build_formula's None and the
+        # characterization's refusal all name the same pair.
+        k = min(k, n)
+        graph, coloring, word, decoder = random_realizable(rng, n, k)
+        word = tuple(sorted(word, key=lambda _: rng.random()))
+        pair = DecoderInstance(graph, coloring, word).single_run_pair()
+        if pair is None:
+            characterization_check(graph, coloring, word, decoder)
+            return
+        assert build_formula(graph, coloring, word) is None
+        with pytest.raises(MalformedInstanceError) as refused:
+            characterization_check(graph, coloring, word, decoder)
+        assert str(refused.value) == \
+            f"one-sided pair {pair[0]}{pair[1]} has a single run of each letter"
 
     def test_rejects_single_run_one_sided_instances(self):
         g = Graph(["a1", "a2", "b1", "b2"], [("a1", "b1")])

@@ -71,6 +71,19 @@ def test_clause_validation():
         TwoSatFormula(["x", "x"])
 
 
+def test_has_clause_validates_like_add_clause():
+    f = TwoSatFormula(["x", "y"])
+    f.add_clause(("x", True), ("y", False))
+    assert f.has_clause(("y", False), ("x", True))
+    assert not f.has_clause(("x", True))
+    with pytest.raises(MalformedInstanceError):
+        f.has_clause(("zz", True))
+    with pytest.raises(MalformedInstanceError):
+        f.has_clause(("x", 1))
+    with pytest.raises(MalformedInstanceError):
+        f.has_clause()
+
+
 def test_clauses_dedup_and_keep_order():
     f = TwoSatFormula(["x", "y"])
     f.add_clause(("y", True), ("x", False))
