@@ -11,7 +11,8 @@ input problem).
 Solutions are re-verified in process before they are printed: a word or
 witness is checked position by position against the graph it claims to
 realize, a retrieved decoder is run back through the verifier, and a
-retrieved coloring's isomorphism is checked edge by edge.
+retrieved coloring's isomorphism is checked by comparing each vertex's
+bitmask adjacency row with the row its word position requires.
 """
 
 from __future__ import annotations

@@ -6,9 +6,9 @@ read the position's letter.  Finding one is graph isomorphism.  Generalized
 twins are interchangeable, so the search runs on the twin quotients (one
 vertex per twin class, colored by the class size and kind, two classes
 adjacent when fully joined): colored refinement with backtracking
-individualization matches the quotients, on an explicit stack so that no
-frame depth grows with the graph, and each matched class pair is then
-paired off member by member.
+individualization, on one labeling of the two quotients' disjoint union,
+matches them on an explicit stack so that no frame depth grows with the
+graph, and each matched class pair is then paired off member by member.
 """
 
 from __future__ import annotations
@@ -25,85 +25,66 @@ Labels = list[int]
 Neighbors = Sequence[Sequence[int]]
 
 
-def _refine(nbrs_g: Neighbors, nbrs_h: Neighbors, labels_g: Labels,
-            labels_h: Labels, cells: int) -> Optional[tuple[Labels, Labels, int]]:
-    """The stable partition of both labelings, or None if they part ways.
+def _refine(nbrs: Neighbors, labels: Labels, cells: int,
+            half: int) -> Optional[tuple[Labels, int]]:
+    """The stable partition of the labeling, or None if the two halves part ways.
 
+    Vertices 0..half-1 belong to the first graph and half.. to the second.
     Each round relabels every vertex by the rank of its signature (own label
-    plus the sorted neighbor labels) among the signatures of both graphs, so
-    one palette names the cells of both; the two signature censuses must
-    agree.  `cells` is the number of labels in use, 0..cells-1.
+    plus the sorted neighbor labels), so one palette names the cells of both
+    graphs; the signature censuses of the two halves must agree.  `cells` is
+    the number of labels in use, 0..cells-1.
     """
     while True:
-        sig_g = [(labels_g[i], tuple(sorted(labels_g[j] for j in nbrs)))
-                 for i, nbrs in enumerate(nbrs_g)]
-        sig_h = [(labels_h[i], tuple(sorted(labels_h[j] for j in nbrs)))
-                 for i, nbrs in enumerate(nbrs_h)]
-        census = Counter(sig_g)
-        if census != Counter(sig_h):
+        sigs = [(labels[i], tuple(sorted(labels[j] for j in vs))) for i, vs in enumerate(nbrs)]
+        census = Counter(sigs[:half])
+        if census != Counter(sigs[half:]):
             return None
         relabel = {sig: k for k, sig in enumerate(sorted(census))}
-        labels_g = [relabel[s] for s in sig_g]
-        labels_h = [relabel[s] for s in sig_h]
+        labels = [relabel[s] for s in sigs]
         if len(relabel) == cells:
-            return labels_g, labels_h, cells
+            return labels, cells
         cells = len(relabel)
 
 
-def _match(nbrs_g: Neighbors, nbrs_h: Neighbors,
-           labels_g: Labels, labels_h: Labels, cells: int) -> Optional[list[int]]:
-    """A label- and edge-preserving bijection g -> h as an image list, or None.
+def _match(nbrs: Neighbors, labels: Labels, cells: int, half: int) -> Optional[list[int]]:
+    """A label- and edge-preserving bijection first half -> second half, or None.
 
     Refinement plus individualization with backtracking on an explicit
-    stack.  Deterministic: the first smallest open cell and its lowest-index
+    stack.  Every cell holds as many vertices of each half, first-half ones
+    first, and image[v] is the index of v's image.  Deterministic: the first smallest open cell and its lowest-index
     vertex are individualized first, candidate images in index order.
     """
-    rows_h = [sum(1 << j for j in nbrs) for nbrs in nbrs_h]
-    stack: list[tuple[Labels, Labels, int, int, Iterator[int]]] = []
-    state = _refine(nbrs_g, nbrs_h, labels_g, labels_h, cells)
+    stack: list[tuple[Labels, int, int, Iterator[int]]] = []
+    state = _refine(nbrs, labels, cells, half)
     while True:
         if state is not None:
-            labels_g, labels_h, cells = state
-            cells_g: dict[int, list[int]] = {}
-            cells_h: dict[int, list[int]] = {}
-            for i, label in enumerate(labels_g):
-                cells_g.setdefault(label, []).append(i)
-            for i, label in enumerate(labels_h):
-                cells_h.setdefault(label, []).append(i)
-            open_cells = [(len(vs), label) for label, vs in cells_g.items() if len(vs) > 1]
+            labels, cells = state
+            members: dict[int, list[int]] = {}
+            for i, label in enumerate(labels):
+                members.setdefault(label, []).append(i)
+            open_cells = [(len(vs), label) for label, vs in members.items() if len(vs) > 2]
             if open_cells:
-                _, label = min(open_cells)
-                stack.append((labels_g, labels_h, cells, cells_g[label][0],
-                              iter(cells_h[label])))
+                vs = members[min(open_cells)[1]]
+                stack.append((labels, cells, vs[0], iter(vs[len(vs) // 2:])))
             else:
-                image = [0] * len(labels_g)
-                for label, (v,) in cells_g.items():
-                    image[v] = cells_h[label][0]
-                if all(sum(1 << image[j] for j in nbrs) == rows_h[image[i]]
-                       for i, nbrs in enumerate(nbrs_g)):
+                image = [0] * half
+                for v, u in members.values():
+                    image[v] = u
+                if all(sorted(image[j] for j in nbrs[i]) == nbrs[image[i]] for i in range(half)):
                     return image
         state = None
         while state is None:
             if not stack:
                 return None
-            labels_g, labels_h, cells, v, images = stack[-1]
+            labels, cells, v, images = stack[-1]
             u = next(images, None)
             if u is None:
                 stack.pop()
                 continue
-            next_g = list(labels_g)
-            next_h = list(labels_h)
-            next_g[v] = cells
-            next_h[u] = cells
-            state = _refine(nbrs_g, nbrs_h, next_g, next_h, cells + 1)
-
-
-def _quotient(graph: Graph) -> tuple[tuple[tuple[str, ...], ...], list[tuple[int, str]],
-                                     Neighbors]:
-    """Twin classes, their (size, kind) colors and the class neighbor lists."""
-    part = twin_partition(graph)
-    colors = [(len(block), kind) for block, kind in zip(part.blocks, part.kinds)]
-    return part.blocks, colors, part.adjacency
+            labels = list(labels)
+            labels[v] = labels[u] = cells
+            state = _refine(nbrs, labels, cells + 1, half)
 
 
 def find_isomorphism(g: Graph, h: Graph) -> Optional[dict[str, str]]:
@@ -111,23 +92,25 @@ def find_isomorphism(g: Graph, h: Graph) -> Optional[dict[str, str]]:
 
     Both graphs are reduced to their twin quotients, whose vertices are the
     generalized-twin classes colored by (size, kind) and whose edges join
-    fully joined classes.  The quotients are matched by colored refinement
-    with individualization (see `_match`), and the i-th vertex of each class
-    B is mapped to the i-th vertex of its image class f(B); twins are
-    interchangeable, so any such pairing is an isomorphism.
+    fully joined classes.  One labeling of the quotients' disjoint union (g's
+    classes first, then h's) is refined with individualization (see
+    `_match`), and the i-th vertex of each class B of g is mapped to the i-th
+    vertex of its image class f(B); twins are interchangeable, so any such
+    pairing is an isomorphism.
     """
     if h.n != g.n or g.edge_count != h.edge_count:
         return None
-    blocks_g, colors_g, nbrs_g = _quotient(g)
-    blocks_h, colors_h, nbrs_h = _quotient(h)
-    if Counter(colors_g) != Counter(colors_h):
-        return None
-    palette = {color: k for k, color in enumerate(sorted(set(colors_g)))}
-    image = _match(nbrs_g, nbrs_h, [palette[c] for c in colors_g],
-                   [palette[c] for c in colors_h], len(palette))
+    part_g, part_h = twin_partition(g), twin_partition(h)
+    half = len(part_g.blocks)
+    blocks = part_g.blocks + part_h.blocks
+    colors = [(len(block), kind) for block, kind in zip(blocks, part_g.kinds + part_h.kinds)]
+    palette = {color: k for k, color in enumerate(sorted(set(colors)))}
+    # h's lists are shifted and must be lists: `_match` compares them with sorted().
+    nbrs = part_g.adjacency + tuple([j + half for j in vs] for vs in part_h.adjacency)
+    image = _match(nbrs, [palette[c] for c in colors], len(palette), half)
     if image is None:
         return None
-    lifted = {u: v for block, k in zip(blocks_g, image) for u, v in zip(block, blocks_h[k])}
+    lifted = {u: v for block, k in zip(blocks, image) for u, v in zip(block, blocks[k])}
     return {v: lifted[v] for v in g.vertices}
 
 

@@ -43,13 +43,49 @@ def test_cycle_to_relabeled_cycle():
 
 
 def test_distinguishes_c6_from_two_triangles():
-    # both are 2-regular with 6 vertices and 6 edges
+    # C6 and two triangles are both 2-regular with 6 vertices and 6 edges;
+    # P3+K1 and 2K2 both have 4 vertices and 2 edges, but 3 and 2 twin classes.
     c6 = cycle(6)
     triangles = Graph(["t0", "t1", "t2", "t3", "t4", "t5"],
                       [("t0", "t1"), ("t1", "t2"), ("t0", "t2"),
                        ("t3", "t4"), ("t4", "t5"), ("t3", "t5")])
-    assert find_isomorphism(c6, triangles) is None
-    assert find_isomorphism(triangles, c6) is None
+    p3_k1 = Graph(["p0", "p1", "p2", "k"], [("p0", "p1"), ("p1", "p2")])
+    two_k2 = Graph(["a", "b", "c", "d"], [("a", "b"), ("c", "d")])
+    for g, h in ((c6, triangles), (p3_k1, two_k2)):
+        assert find_isomorphism(g, h) is None
+        assert find_isomorphism(h, g) is None
+
+
+def test_tie_break_is_pinned():
+    # Automorphism-rich pairs admit many isomorphisms; the search must keep
+    # returning the same one (smallest open cell, its lowest-index vertex,
+    # candidate images in index order).
+    ring = ["w0", "w2", "w4", "w1", "w3", "w5"]
+    c6 = Graph([f"w{i}" for i in range(6)], [(ring[i], ring[(i + 1) % 6]) for i in range(6)])
+    k33 = Graph(["a0", "a1", "a2", "b0", "b1", "b2"],
+                [(f"a{i}", f"b{j}") for i in range(3) for j in range(3)])
+    k33_mixed = Graph(["x0", "y0", "x1", "y1", "x2", "y2"],
+                      [(f"x{i}", f"y{j}") for i in range(3) for j in range(3)])
+    paths = Graph([f"{c}{x}" for c in "pqr" for x in "amb"],
+                  [(f"{c}{end}", f"{c}m") for c in "pqr" for end in "ab"])
+    paths_mixed = Graph(["um", "va", "wb", "ua", "vm", "wa", "ub", "vb", "wm"],
+                        [(f"{c}{end}", f"{c}m") for c in "uvw" for end in "ab"])
+    # two clique pairs joined to one center, plus an isolated vertex
+    blow_up = Graph(["x0", "x1", "y", "z0", "z1", "e"],
+                    [("x0", "x1"), ("x0", "y"), ("x1", "y"), ("y", "z0"), ("y", "z1"),
+                     ("z0", "z1")])
+    blow_up_mixed = Graph(["s1", "c", "t0", "s0", "t1", "f"],
+                          [("t0", "t1"), ("t0", "c"), ("t1", "c"), ("c", "s0"), ("c", "s1"),
+                           ("s0", "s1")])
+    assert find_isomorphism(cycle(6), c6) == {
+        "v0": "w0", "v1": "w5", "v2": "w3", "v3": "w1", "v4": "w4", "v5": "w2"}
+    assert find_isomorphism(k33, k33_mixed) == {
+        "a0": "x0", "a1": "x1", "a2": "x2", "b0": "y0", "b1": "y1", "b2": "y2"}
+    assert find_isomorphism(paths, paths_mixed) == {
+        "pa": "ua", "pm": "um", "pb": "ub", "qa": "va", "qm": "vm", "qb": "vb",
+        "ra": "wb", "rm": "wm", "rb": "wa"}
+    assert find_isomorphism(blow_up, blow_up_mixed) == {
+        "x0": "s1", "x1": "s0", "y": "c", "z0": "t0", "z1": "t1", "e": "f"}
 
 
 def test_cycle_and_path_differ():
