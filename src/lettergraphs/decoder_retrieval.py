@@ -25,6 +25,13 @@ projection w[x, b] has at least two b-runs, with the palindromic ones among
 them; every solver step reads it instead of deriving it again.  A block
 check (a center letter, its partners, and only the center-to-partner edges)
 masks the instance's rows, not a smaller graph.
+
+Every check, from the forced pairs to the final verify and the decoder
+enumeration, is one greedy peel along the (projected) word, which reads
+the decoder only as the union of classes each letter sees.  A vertex v of
+letter a may be peeled next exactly when blocked[v] & remaining == 0,
+where blocked[v] holds the vertices other than v at which v's kept row and
+the classes a sees differ; see DecoderInstance._peels.
 """
 
 from __future__ import annotations
@@ -79,6 +86,7 @@ class DecoderInstance:
         self.word: Word = tuple(word)
         self.letters = sorted(coloring.alphabet)
         self.adj = graph.adjacency_masks()
+        self.class_members = {a: members(mask) for a, mask in self.masks.items()}
         self._whole = dict.fromkeys(self.letters, (1 << graph.n) - 1)
         self._projections: dict[frozenset[str], Word] = {}
 
@@ -97,7 +105,7 @@ class DecoderInstance:
         """
         kinds = {}
         for i, a in enumerate(self.letters):
-            rows = [self.adj[v] for v in members(self.masks[a])]
+            rows = [self.adj[v] for v in self.class_members[a]]
             for b in self.letters[i:]:
                 mask_b = self.masks[b]
                 count = sum((row & mask_b).bit_count() for row in rows)
@@ -149,7 +157,12 @@ class DecoderInstance:
 
     def realizes(self, decoder: Iterable[DirectedPair]) -> bool:
         """Whether the decoder, over alphabet letters, realizes the whole instance."""
-        return self._peels(self.word, self._whole, decoder)
+        return self.realizes_visible(self._visible(self.letters, decoder))
+
+    def realizes_visible(self, visible: dict[str, int]) -> bool:
+        """Whether the whole instance is realized when each letter a sees
+        exactly the vertices of visible[a], a union of color classes."""
+        return self._peels(self.word, self._whole, visible)
 
     def realizes_block(self, center: str, partners: Sequence[str],
                        decoder: Iterable[DirectedPair]) -> bool:
@@ -165,37 +178,50 @@ class DecoderInstance:
             partner_mask |= self.masks[b]
         rows = dict.fromkeys(partners, self.masks[center])
         rows[center] = partner_mask
-        return self._peels(self.projection(rows), rows, decoder)
+        return self._peels(self.projection(rows), rows, self._visible(rows, decoder))
+
+    def _visible(self, letters: Iterable[str],
+                 decoder: Iterable[DirectedPair]) -> dict[str, int]:
+        visible = dict.fromkeys(letters, 0)
+        for a, b in decoder:
+            visible[a] |= self.masks[b]
+        return visible
 
     def _peels(self, word: Sequence[str], rows: dict[str, int],
-               decoder: Iterable[DirectedPair]) -> bool:
-        """Greedy peeling on the letters of `rows`, each letter's vertices
-        keeping only their edges into rows[letter].
+               visible: dict[str, int]) -> bool:
+        """Greedy peeling on the letters of `rows`: each letter's vertices
+        keep only their edges into rows[letter], and letter a sees exactly
+        the vertices of visible[a].
 
-        The first word letter must be matched by some vertex of its color
-        whose remaining neighborhood is exactly the union of the color
-        classes its letter can see under the decoder.  Any two vertices
+        Each word letter a takes the first vertex v of its queue with
+        blocked[v] & remaining == 0, where
+
+            blocked[v] = ((adj[v] & rows[a]) ^ visible[a]) & ~(1 << v),
+
+        so v is eligible exactly when its remaining kept neighborhood is the
+        rest of what a sees among the remaining vertices.  A letter's queue
+        of (v, blocked[v]) pairs, in ascending vertex order, is built when
+        the word first reaches the letter, so letters a failing peel never
+        reaches cost nothing; peeled vertices leave it.  Any two vertices
         eligible at the same step are generalized twins, so taking the one
         with the smallest index never loses a solution.
         """
-        masks, adj = self.masks, self.adj
-        visible = dict.fromkeys(rows, 0)
+        adj, class_members = self.adj, self.class_members
         remaining = 0
         for a in rows:
-            remaining |= masks[a]
-        for a, b in decoder:
-            visible[a] |= masks[b]
+            remaining |= self.masks[a]
+        queues: dict[str, list[tuple[int, int]]] = {}
         for letter in word:
-            allowed = visible[letter] & remaining
-            kept = rows[letter] & remaining
-            candidates = masks[letter] & remaining
-            while candidates:
-                low = candidates & -candidates
-                v = low.bit_length() - 1
-                if adj[v] & kept == allowed & ~low:
-                    remaining ^= low
+            queue = queues.get(letter)
+            if queue is None:
+                kept, seen = rows[letter], visible[letter]
+                queue = queues[letter] = [(v, ((adj[v] & kept) ^ seen) & ~(1 << v))
+                                          for v in class_members[letter]]
+            for i, (v, blocked) in enumerate(queue):
+                if not blocked & remaining:
+                    remaining ^= 1 << v
+                    del queue[i]
                     break
-                candidates ^= low
             else:
                 return False
         return True

@@ -233,12 +233,12 @@ def brute_symmetric_lettericity(graph: Graph, k_max: int,
 
 
 def _verify_mask_range(args):
-    inst, slots, start, stop = args
+    inst, slots, fields, unions, start, stop = args
+    field = len(unions) - 1
     hits = []
     for mask in range(start, stop):
-        decoder = _mask_decoder(slots, mask, symmetric=False)
-        if inst.realizes(decoder):
-            hits.append(decoder)
+        if inst.realizes_visible({a: unions[mask >> shift & field] for a, shift in fields}):
+            hits.append(_mask_decoder(slots, mask, symmetric=False))
     return hits
 
 
@@ -248,9 +248,13 @@ def enumerate_decoders(graph: Graph, coloring: Coloring, word: Sequence[str],
 
     Checks every subset of the alphabet's ordered pairs with the verifier,
     on one instance built up front; the alphabet may have at most 4 letters
-    (65536 candidates).  Results come sorted by their sorted pair tuples.
-    At most `jobs` worker processes, and never more than the CPU count,
-    share the scan.
+    (65536 candidates).  Bit i * k + j of a candidate mask stands for the
+    pair (letters[i], letters[j]) of the sorted alphabet, so field i, k bits
+    wide, selects the classes letters[i] sees, and one table of unions of
+    class masks turns each field into that letter's visible mask.  Only
+    masks that verify become frozensets.  Results come sorted by their
+    sorted pair tuples.  At most `jobs` worker processes, and never more
+    than the CPU count, share the scan.
     """
     inst = DecoderInstance(graph, coloring, word)
     inst.require_used_letters()
@@ -260,7 +264,13 @@ def enumerate_decoders(graph: Graph, coloring: Coloring, word: Sequence[str],
             f"decoder enumeration handles at most {MAX_ENUMERATION_LETTERS} letters, got {k}")
     letters = sorted(coloring.alphabet)
     slots = [(a, b) for a in letters for b in letters]
-    chunks = _fan_out(_verify_mask_range, lambda start, stop: (inst, slots, start, stop),
+    fields = [(a, i * k) for i, a in enumerate(letters)]
+    unions = [0] * (1 << k)
+    for field in range(1, 1 << k):
+        low = field & -field
+        unions[field] = unions[field ^ low] | inst.masks[letters[low.bit_length() - 1]]
+    chunks = _fan_out(_verify_mask_range,
+                      lambda start, stop: (inst, slots, fields, unions, start, stop),
                       1 << len(slots), jobs, 1 << 12)
     return sorted((d for hits in chunks for d in hits), key=lambda d: tuple(sorted(d)))
 

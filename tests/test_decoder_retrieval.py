@@ -1,5 +1,6 @@
 import itertools
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,6 +11,7 @@ from lettergraphs import (Coloring, Graph, InternalConsistencyError,
 from lettergraphs.decoder_retrieval import (DecoderInstance, PairKind,
                                             build_formula, cascade_word,
                                             forced_pair_word)
+from lettergraphs.graphs import color_masks
 from instances import (banane_instance, bijection_verifies, cascade_instance,
                        forced_instance, random_realizable)
 
@@ -72,6 +74,75 @@ class TestVerifyDecoder:
             word = tuple(sorted(word, key=lambda _: rng.random()))
         got = verify_decoder(graph, coloring, word, decoder)
         assert got == bijection_verifies(graph, coloring, word, decoder)
+
+
+def row_comparison_scan(masks, adj, word, rows, decoder):
+    """Reference peel, the row-comparison scan the blocked-mask kernel
+    replaced: at each word letter, try that letter's remaining vertices
+    from the lowest index and take the first whose neighborhood, kept to
+    rows[letter] and to the remaining vertices, is exactly the rest of the
+    classes the letter sees."""
+    visible = dict.fromkeys(rows, 0)
+    remaining = 0
+    for a in rows:
+        remaining |= masks[a]
+    for a, b in decoder:
+        visible[a] |= masks[b]
+    for letter in word:
+        allowed = visible[letter] & remaining
+        kept = rows[letter] & remaining
+        candidates = masks[letter] & remaining
+        while candidates:
+            low = candidates & -candidates
+            v = low.bit_length() - 1
+            if adj[v] & kept == allowed & ~low:
+                remaining ^= low
+                break
+            candidates ^= low
+        else:
+            return False
+    return True
+
+
+def test_peel_kernel_matches_row_comparison_scan():
+    # Sizes past the bijection oracle's reach: n <= 40, k <= 5.
+    rng = random.Random(2026)
+    outcomes = Counter()
+    for _ in range(300):
+        n = rng.randint(1, 40)
+        k = rng.randint(1, min(5, n))
+        graph, coloring, word, generating = random_realizable(rng, n, k)
+        if rng.random() < 0.5:
+            word = tuple(sorted(word, key=lambda _: rng.random()))
+        inst = DecoderInstance(graph, coloring, word)
+        masks, adj = color_masks(graph, coloring), graph.adjacency_masks()
+        letters = sorted(coloring.alphabet)
+        pairs = [(a, b) for a in letters for b in letters]
+        whole = dict.fromkeys(letters, (1 << n) - 1)
+        for decoder in (generating, *(frozenset(p for p in pairs if rng.random() < 0.5)
+                                      for _ in range(3))):
+            got = inst.realizes(decoder)
+            assert got == row_comparison_scan(masks, adj, word, whole, decoder)
+            outcomes["whole", got] += 1
+
+        center = rng.choice(letters)
+        others = [b for b in letters if b != center]
+        partners = (center,) if rng.random() < 0.25 else \
+            tuple(rng.sample(others, rng.randint(0, len(others))))
+        # Partners keep their edges into the center's class, the center its
+        # edges into the partners' classes (into itself as its own partner).
+        rows = {b: masks[center] for b in partners}
+        rows[center] = sum(masks[b] for b in set(partners))
+        block_word = [c for c in word if c in rows]
+        block_pairs = [(a, b) for a in sorted(rows) for b in sorted(rows)]
+        kept = {(center, b) for b in partners} | {(b, center) for b in partners}
+        for decoder in (generating & kept, *(frozenset(p for p in block_pairs if rng.random() < 0.5)
+                                             for _ in range(3))):
+            got = inst.realizes_block(center, partners, decoder)
+            assert got == row_comparison_scan(masks, adj, block_word, rows, decoder)
+            outcomes["block", got] += 1
+    # Both answers occur often at both levels, so the comparison has teeth.
+    assert len(outcomes) == 4 and min(outcomes.values()) >= 200, outcomes
 
 
 def sub_instance(graph, coloring, word, center, partners):

@@ -160,6 +160,43 @@ class TestEnumerateDecoders:
         for d in out:
             assert verify_decoder(graph, coloring, word, d)
 
+    @staticmethod
+    def every_verifying_decoder(graph, coloring, word):
+        """Every subset of the alphabet's ordered pairs that verify_decoder
+        accepts, sorted like enumerate_decoders' results."""
+        pairs = [(a, b) for a in coloring.alphabet for b in coloring.alphabet]
+        subsets = (frozenset(itertools.compress(pairs, picks))
+                   for picks in itertools.product((False, True), repeat=len(pairs)))
+        return sorted((d for d in subsets if verify_decoder(graph, coloring, word, d)),
+                      key=lambda d: tuple(sorted(d)))
+
+    # Multi-character letters declared out of sorted order, so a table laid
+    # out in declaration order picks the wrong classes.
+    LETTERS = ("mid", "a10", "zz", "a9")
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(min_value=1, max_value=3), st.integers(min_value=0, max_value=4),
+           st.randoms(use_true_random=False), st.booleans())
+    def test_equals_exhaustive_verification(self, k, extra, rng, shuffle):
+        letters = self.LETTERS[:k]
+        word = [*letters, *(rng.choice(letters) for _ in range(extra))]
+        rng.shuffle(word)
+        decoder = [(a, b) for a in letters for b in letters if rng.random() < 0.5]
+        colored = decode(decoder, word, letters)
+        if shuffle:
+            rng.shuffle(word)
+        graph, coloring = colored.graph, colored.coloring
+        assert enumerate_decoders(graph, coloring, word) == \
+            self.every_verifying_decoder(graph, coloring, word)
+
+    def test_equals_exhaustive_verification_four_letters(self):
+        word = ("zz", "a9", "mid", "a10", "a9", "zz", "mid")
+        decoder = [("zz", "a9"), ("a9", "mid"), ("mid", "mid"), ("a10", "zz")]
+        colored = decode(decoder, word, self.LETTERS)
+        expected = self.every_verifying_decoder(colored.graph, colored.coloring, word)
+        assert len(expected) >= 2
+        assert enumerate_decoders(colored.graph, colored.coloring, word) == expected
+
     def test_too_many_letters(self):
         g = Graph(["1", "2", "3", "4", "5"])
         c = Coloring({v: letter for v, letter in zip(g.vertices, "abcde")},
