@@ -159,13 +159,14 @@ def _cmd_nd(doc: InstanceDocument, args) -> tuple[dict, int]:
 
 
 def _realization_payload(graph: Graph, witness: Realization) -> dict:
-    check_realization(graph, witness.mapping, witness.word, witness.decoder, witness.coloring)
+    decoder = decoder_payload(witness.decoder)
+    check_realization(graph, witness.mapping, witness.word, decoder, witness.coloring)
     return {
         "status": "solution",
         "value": witness.k,
         "alphabet": list(witness.alphabet),
         "word": list(witness.word),
-        "decoder": decoder_payload(witness.decoder),
+        "decoder": decoder,
         "coloring": coloring_payload(witness.coloring, graph.vertices),
     }
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from itertools import repeat
 
 from .errors import InternalConsistencyError
 from .graphs import Coloring, Graph
@@ -113,7 +114,8 @@ def symmetric_witness(graph: Graph) -> Realization:
     """A symmetric realization of the graph on one letter per twin class.
 
     Letters are "1".."p" in block order; the word lists each block's letter
-    block-size many times, one position per member in block order.  This
+    block-size many times, one position per member in block order.  The
+    decoder is emitted sorted, block by block from the twin quotient.  This
     uses the fewest letters any symmetric decoder can achieve; the empty
     graph gets the empty realization.
     """
@@ -127,16 +129,18 @@ def symmetric_witness(graph: Graph) -> Realization:
             word.append(letter)
             assignment[v] = letter
             mapping[v] = len(word)
-    pairs = set()
-    for i, kind in enumerate(partition.kinds):
-        if kind == "clique":
-            pairs.add((letters[i], letters[i]))
-        # adjacency is symmetric, so block j's turn adds the reverse pair.
-        pairs.update((letters[i], letters[j]) for j in partition.adjacency[i])
+    # adjacency is symmetric, so block j's turn adds the reverse pair.
+    decoder: list[tuple[str, str]] = []
+    for i in sorted(range(len(letters)), key=letters.__getitem__):
+        partners = list(map(letters.__getitem__, partition.adjacency[i]))
+        if partition.kinds[i] == "clique":
+            partners.append(letters[i])
+        partners.sort()
+        decoder += zip(repeat(letters[i]), partners)
     return Realization(
         alphabet=letters,
         word=tuple(word),
-        decoder=frozenset(pairs),
+        decoder=tuple(decoder),
         coloring=Coloring(assignment, letters),
         mapping=mapping,
     )

@@ -10,6 +10,9 @@ against that rule directly, without decoding.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from itertools import groupby, repeat
+from operator import itemgetter, or_
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import InternalConsistencyError, MalformedInstanceError
@@ -121,11 +124,11 @@ def decode(decoder: Iterable[Sequence[str]], word: Sequence[str],
 @dataclass(frozen=True)
 class Realization:
     """A word and decoder realizing a graph; `mapping` is each vertex's 1-based
-    word position and `coloring` its letter."""
+    word position, `coloring` its letter, `decoder` the sorted tuple of pairs."""
 
     alphabet: tuple[str, ...]
     word: Word
-    decoder: Decoder
+    decoder: tuple[tuple[str, str], ...]
     coloring: Coloring
     mapping: dict[str, int]
 
@@ -139,12 +142,13 @@ def check_realization(graph: Graph, mapping: Mapping[str, int], word: Sequence[s
                       coloring: Optional[Coloring] = None) -> None:
     """Raise unless mapping sends the graph onto the letter graph of (decoder, word).
 
-    mapping assigns each vertex a 1-based word position.  The vertex at
-    position p must be adjacent to exactly the vertices at later positions
-    whose letter b has (w_p, b) in the decoder and at earlier positions
-    whose letter b has (b, w_p) in it; both sides are compared as bitmask
-    rows over vertex indices.  When a coloring is given every vertex's
-    letter must match its position's letter.
+    mapping assigns each vertex a 1-based word position.  Among the later
+    positions, the vertex at position p must be adjacent to exactly those
+    whose letter b has (w_p, b) in the decoder, compared as bitmask rows; rows
+    are symmetric, so each unordered pair is checked once, from its earlier
+    position.  Decoder pairs may come in any order; each run of pairs with one
+    first letter costs one Python step.  When a coloring is given every
+    vertex's letter must match its position's letter.
     """
     n = graph.n
     if len(word) != n or sorted(mapping) != sorted(graph.vertices) \
@@ -157,26 +161,24 @@ def check_realization(graph: Graph, mapping: Mapping[str, int], word: Sequence[s
     for p, c in enumerate(word):
         letter_masks[c] = letter_masks.get(c, 0) | (1 << at[p])
     sees_later = dict.fromkeys(letter_masks, 0)
-    sees_earlier = dict.fromkeys(letter_masks, 0)
-    for a, b in decoder:
-        if a in sees_later:
-            sees_later[a] |= letter_masks.get(b, 0)
-        if b in sees_earlier:
-            sees_earlier[b] |= letter_masks.get(a, 0)
+    for a, run in groupby(decoder, key=itemgetter(0)):
+        seen = reduce(or_, map(letter_masks.get, map(itemgetter(1), run), repeat(0)), 0)
+        sees_later[a] = sees_later.get(a, 0) | seen
     adj = graph.adjacency_masks()
-    wrong = [0] * n
+    wrong = []
     later = 0
     for p in range(n - 1, -1, -1):
-        v, c = at[p], word[p]
-        earlier = ((1 << n) - 1) ^ later ^ (1 << v)
-        wrong[v] = adj[v] ^ ((later & sees_later[c]) | (earlier & sees_earlier[c]))
-        later |= 1 << v
-    for i, row in enumerate(wrong):
+        v = at[p]
+        row = (adj[v] ^ sees_later[word[p]]) & later
         if row:
-            # Both rows are symmetric, so the first wrong row's lowest bit
-            # lies above i: this is the first wrong pair in vertex order.
-            u, v = graph.vertices[i], graph.vertices[(row & -row).bit_length() - 1]
-            raise InternalConsistencyError(f"solution misrepresents the pair {u},{v}")
+            # The row's lowest bit gives v's first wrong pair in vertex order.
+            u = (row & -row).bit_length() - 1
+            wrong.append((min(u, v), max(u, v)))
+        later |= 1 << v
+    if wrong:
+        i, j = min(wrong)
+        raise InternalConsistencyError(
+            f"solution misrepresents the pair {graph.vertices[i]},{graph.vertices[j]}")
     if coloring is not None:
         for v in graph.vertices:
             if word[mapping[v] - 1] != coloring[v]:

@@ -195,7 +195,7 @@ def _search_realization(graph: Graph, k_max: int, symmetric: bool,
         raise SizeLimitError(
             f"realization search handles at most {MAX_ORACLE_LETTERS} letters, got {k_max}")
     if n == 0:
-        return Realization((), (), frozenset(), Coloring({}, ()), {})
+        return Realization((), (), (), Coloring({}, ()), {})
     for k in range(1, min(k_max, n) + 1):
         slot_bound = k * (k + 1) // 2 if symmetric else k * k
         level = _stirling2(n, k) << slot_bound
@@ -212,7 +212,7 @@ def _search_realization(graph: Graph, k_max: int, symmetric: bool,
             letters = tuple(ORACLE_LETTERS[:k])
             coloring = Coloring({graph.vertices[i]: letters[rgs[i]] for i in range(n)}, letters)
             mapping = {v: i + 1 for i, v in enumerate(permutation)}
-            return Realization(letters, word, decoder, coloring, mapping)
+            return Realization(letters, word, tuple(sorted(decoder)), coloring, mapping)
     return None
 
 

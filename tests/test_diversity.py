@@ -72,7 +72,7 @@ def test_symmetric_witness_on_star():
     assert witness.alphabet == ("1", "2")
     assert witness.word == ("1", "2", "2", "2")
     assert is_symmetric_decoder(witness.decoder)
-    assert witness.decoder == frozenset({("1", "2"), ("2", "1")})
+    assert witness.decoder == (("1", "2"), ("2", "1"))
     assert verify_decoder(star(3), witness.coloring, witness.word, witness.decoder)
 
 
@@ -80,7 +80,7 @@ def test_symmetric_witness_of_the_empty_graph_is_empty():
     g = Graph([])
     witness = symmetric_witness(g)
     assert witness.k == 0
-    assert (witness.alphabet, witness.word, witness.decoder) == ((), (), frozenset())
+    assert (witness.alphabet, witness.word, witness.decoder) == ((), (), ())
     assert witness.coloring.assignment == {} and witness.mapping == {}
     check_realization(g, witness.mapping, witness.word, witness.decoder, witness.coloring)
 
@@ -88,7 +88,7 @@ def test_symmetric_witness_of_the_empty_graph_is_empty():
 def test_symmetric_witness_clique_blocks_use_self_pairs():
     witness = symmetric_witness(complete(4))
     assert witness.alphabet == ("1",)
-    assert witness.decoder == frozenset({("1", "1")})
+    assert witness.decoder == (("1", "1"),)
 
 
 @settings(max_examples=120, deadline=None)
@@ -105,6 +105,25 @@ def test_witness_always_realizes_the_graph(n, rng, p):
     # counts match the block sizes by construction
     colored = decode(witness.decoder, witness.word, witness.alphabet)
     assert colored.graph.edge_count == g.edge_count
+
+
+def test_witness_decoder_sorts_letters_as_strings():
+    # A path on 11 vertices has 11 twin classes, so the letters "10" and
+    # "11" sort between "1" and "2".
+    vertices = [f"p{i}" for i in range(11)]
+    witness = symmetric_witness(Graph(vertices, zip(vertices, vertices[1:])))
+    assert witness.decoder == tuple(sorted(witness.decoder))
+    assert witness.decoder[:4] == (("1", "2"), ("10", "11"), ("10", "9"), ("11", "10"))
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.integers(min_value=0, max_value=14), st.randoms(use_true_random=False),
+       st.floats(min_value=0.0, max_value=1.0))
+def test_witness_decoder_is_canonical(n, rng, p):
+    g = random_graph(rng, n, p)
+    witness = symmetric_witness(g)
+    # Sorted and free of duplicates: exactly the order the CLI prints.
+    assert witness.decoder == tuple(sorted(set(witness.decoder)))
 
 
 @settings(max_examples=150, deadline=None)

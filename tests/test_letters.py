@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from lettergraphs import (Coloring, Graph, InternalConsistencyError,
                           MalformedInstanceError, decode, normalize_decoder)
@@ -151,3 +151,70 @@ class TestCheckRealization:
         with pytest.raises(InternalConsistencyError) as error:
             check_realization(flipped, mapping, word, pairs)
         assert set(str(error.value).rsplit(" ", 1)[1].split(",")) == {u, v}
+
+
+def _outcome(graph, mapping, word, decoder, coloring=None):
+    try:
+        check_realization(graph, mapping, word, decoder, coloring)
+    except InternalConsistencyError as error:
+        return str(error)
+    return None
+
+
+def _first_wrong_pair(graph, mapping, word, decoder):
+    """Reference: the first pair in vertex-index order whose edge disagrees
+    with the decoder rule, tested pair by pair."""
+    d = set(decoder)
+    vertices = graph.vertices
+    for i, u in enumerate(vertices):
+        for v in vertices[i + 1:]:
+            p, q = sorted((mapping[u], mapping[v]))
+            if graph.has_edge(u, v) != ((word[p - 1], word[q - 1]) in d):
+                return u, v
+    return None
+
+
+def _shuffled_instance(word, pairs, rng):
+    """The letter graph of (pairs, word) with its vertices declared in a
+    random order, so vertex indices and word positions disagree."""
+    colored = decode(pairs, word)
+    vertices = list(colored.graph.vertices)
+    rng.shuffle(vertices)
+    graph = Graph(vertices, colored.graph.edge_list())
+    return graph, {v: int(v) for v in vertices}, colored.coloring
+
+
+class TestCheckRealizationPairs:
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.sampled_from("abcd"), min_size=3, max_size=12).map(tuple),
+           st.sets(st.tuples(st.sampled_from("abcd"), st.sampled_from("abcd"))),
+           st.randoms(use_true_random=False), st.data())
+    def test_names_the_first_of_several_wrong_pairs(self, word, pairs, rng, data):
+        graph, mapping, _ = _shuffled_instance(word, pairs, rng)
+        all_pairs = [(u, v) for i, u in enumerate(graph.vertices)
+                     for v in graph.vertices[i + 1:]]
+        flips = data.draw(st.lists(st.sampled_from(all_pairs), min_size=2,
+                                   max_size=min(4, len(all_pairs)), unique=True))
+        edges = set(map(frozenset, graph.edge_list())) ^ set(map(frozenset, flips))
+        flipped = Graph(graph.vertices, map(tuple, edges))
+        first = _first_wrong_pair(flipped, mapping, word, pairs)
+        assert first == min(flips, key=lambda e: sorted(map(graph.index, e)))
+        assert _outcome(flipped, mapping, word, pairs) == \
+            "solution misrepresents the pair {},{}".format(*first)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.sampled_from("abcd"), min_size=2, max_size=12).map(tuple),
+           st.sets(st.tuples(st.sampled_from("abcde"), st.sampled_from("abcde"))),
+           st.randoms(use_true_random=False), st.booleans())
+    def test_pair_order_does_not_matter(self, word, pairs, rng, flip):
+        graph, mapping, coloring = _shuffled_instance(word, pairs, rng)
+        if flip:
+            u, v = rng.sample(graph.vertices, 2)
+            edges = set(map(frozenset, graph.edge_list())) ^ {frozenset((u, v))}
+            graph = Graph(graph.vertices, map(tuple, edges))
+        shuffled = list(pairs)
+        rng.shuffle(shuffled)
+        orders = [frozenset(pairs), sorted(pairs), sorted(pairs, reverse=True), shuffled]
+        outcomes = {_outcome(graph, mapping, word, d, coloring) for d in orders}
+        assert len(outcomes) == 1
+        assert (outcomes.pop() is None) == (not flip)
