@@ -13,11 +13,17 @@ witness is checked position by position against the graph it claims to
 realize, a retrieved decoder is run back through the verifier, and a
 retrieved coloring's isomorphism is checked by comparing each vertex's
 bitmask adjacency row with the row its word position requires.
+
+main() runs with Python's cyclic garbage collector paused: parsing a large
+instance would otherwise trigger hundreds of collections over lists that
+hold no cycles.  The collector's on/off state is process-global, so main()
+restores the state it found when it returns or raises.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import os
 import random
 import string
@@ -369,28 +375,36 @@ def _run(args) -> tuple[str, int]:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    # A call leaves a few hundred cyclic objects (the argument parser)
+    # whatever the instance size; the next collection after it reclaims them.
+    enabled = gc.isenabled()
+    gc.disable()
     try:
-        text, code = _run(args)
-    except (MalformedInstanceError, SizeLimitError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        text = dump_json({"status": "error", "error": str(exc)})
-        code = EXIT_MALFORMED if isinstance(exc, MalformedInstanceError) else EXIT_SIZE_LIMIT
-    except InternalConsistencyError as exc:
-        print(f"internal error: {exc}", file=sys.stderr)
-        return EXIT_INTERNAL
-    except Exception as exc:
-        # Anything else is a bug; exit 1 would misreport it as infeasible.
-        traceback.print_exc()
-        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_INTERNAL
-    try:
-        _write(text, args.output)
-    except OSError as exc:
-        # The answer or error document is lost, so its exit code would lie.
-        print(f"error: cannot write output: {exc}", file=sys.stderr)
-        return EXIT_MALFORMED
-    return code
+        args = build_parser().parse_args(argv)
+        try:
+            text, code = _run(args)
+        except (MalformedInstanceError, SizeLimitError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            text = dump_json({"status": "error", "error": str(exc)})
+            code = EXIT_MALFORMED if isinstance(exc, MalformedInstanceError) else EXIT_SIZE_LIMIT
+        except InternalConsistencyError as exc:
+            print(f"internal error: {exc}", file=sys.stderr)
+            return EXIT_INTERNAL
+        except Exception as exc:
+            # Anything else is a bug; exit 1 would misreport it as infeasible.
+            traceback.print_exc()
+            print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+            return EXIT_INTERNAL
+        try:
+            _write(text, args.output)
+        except OSError as exc:
+            # The answer or error document is lost, so its exit code would lie.
+            print(f"error: cannot write output: {exc}", file=sys.stderr)
+            return EXIT_MALFORMED
+        return code
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def entrypoint() -> None:

@@ -7,14 +7,21 @@ after u is forced, i.e. when
   * {u, v} is an edge but (chi(v), chi(u)) is not in D, or
   * {u, v} is not an edge but (chi(v), chi(u)) is in D.
 
-With vertex sets as bitmasks that is one XOR per vertex: the arcs out of u
-are N(u) XOR B(chi(u)), less u, where B(c) is the set of vertices whose
-letter x has (x, c) in D.  Kahn's algorithm then walks the set bits of
-each row.
+With vertex sets as bitmasks that is one XOR per vertex: the arcs into v
+come from N(v) XOR A(chi(v)), less v, where A(c) is the set of vertices
+whose letter x has (c, x) in D.  The arcs are never listed one by one.
+Instead the order is peeled: a vertex may go next when its predecessor row
+has no bit left in the set of vertices not yet placed.  Each blocked vertex
+watches one remaining predecessor, the highest-indexed one, and is tested
+again only when that predecessor is placed; it then either watches the
+next one or becomes ready.  This is the watched-literal idea of SAT
+solvers (Moskewicz et al., "Chaff", 2001) applied to Kahn's algorithm: a
+vertex becomes ready at the same step as under Kahn's in-degree counts, so
+with the ready vertices in one heap the order is the same.
 
 A linear order realizes G as the letter graph of its color word if and only
 if it is a topological order of H, so the instance is solvable exactly when
-H is acyclic.
+H is acyclic, that is, when the peel places every vertex.
 """
 
 from __future__ import annotations
@@ -23,41 +30,47 @@ import heapq
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-from .graphs import Coloring, Graph, color_masks, members
+from .graphs import Coloring, Graph, color_masks
 from .letters import Word, checked_decoder
 
 
-def _successor_masks(graph: Graph, coloring: Coloring,
-                     decoder: Iterable[Sequence[str]]) -> list[int]:
-    """Arc bitmask per vertex index; bit j of succ[i] means arc (i, j).
+def _predecessor_rows(graph: Graph, coloring: Coloring,
+                      decoder: Iterable[Sequence[str]]) -> list[int]:
+    """Arc bitmask per vertex index; bit j of pred[i] means arc (j, i).
 
-    before[c] holds the vertices whose letter x has (x, c) in D, so the arcs
-    out of i are its neighbors XOR before[chi(i)], less i itself.
+    after[c] holds the vertices whose letter x has (c, x) in D, so the arcs
+    into i come from its neighbors XOR after[chi(i)], less i itself.
     """
     masks = color_masks(graph, coloring)
-    before = dict.fromkeys(coloring.alphabet, 0)
-    for x, c in checked_decoder(decoder, coloring.alphabet):
-        before[c] |= masks[x]
-    return [(row ^ before[coloring[v]]) & ~(1 << i)
+    after = dict.fromkeys(coloring.alphabet, 0)
+    for c, x in checked_decoder(decoder, coloring.alphabet):
+        after[c] |= masks[x]
+    return [(row ^ after[coloring[v]]) & ~(1 << i)
             for i, (v, row) in enumerate(zip(graph.vertices, graph.adjacency_masks()))]
 
 
-def _topological_indices(succ: list[int]) -> Optional[list[int]]:
-    """Kahn's algorithm over bitmask rows, smallest index first among sources."""
-    n = len(succ)
-    indegree = [0] * n
-    for row in succ:
-        for j in members(row):
-            indegree[j] += 1
-    ready = [i for i in range(n) if indegree[i] == 0]
-    heapq.heapify(ready)
+def _peel_order(pred: list[int]) -> Optional[list[int]]:
+    """Smallest-index-first topological order by watched blockers, or None on a cycle."""
+    n = len(pred)
+    remaining = (1 << n) - 1
+    watchers: list[list[int]] = [[] for _ in range(n)]
+    ready = []
+    for i, row in enumerate(pred):
+        if row:
+            watchers[row.bit_length() - 1].append(i)
+        else:
+            ready.append(i)
+    # ready is ascending, hence already a heap.
     order = []
     while ready:
         i = heapq.heappop(ready)
         order.append(i)
-        for j in members(succ[i]):
-            indegree[j] -= 1
-            if indegree[j] == 0:
+        remaining ^= 1 << i
+        for j in watchers[i]:
+            blockers = pred[j] & remaining
+            if blockers:
+                watchers[blockers.bit_length() - 1].append(j)
+            else:
                 heapq.heappush(ready, j)
     if len(order) != n:
         return None
@@ -79,7 +92,7 @@ def retrieve_word(graph: Graph, coloring: Coloring,
     Returns None exactly when no such order exists.  Among the valid orders
     the smallest vertex index wins whenever several vertices are ready.
     """
-    order = _topological_indices(_successor_masks(graph, coloring, decoder))
+    order = _peel_order(_predecessor_rows(graph, coloring, decoder))
     if order is None:
         return None
     permutation = tuple(graph.vertices[i] for i in order)

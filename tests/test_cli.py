@@ -1,3 +1,4 @@
+import gc
 import io
 import json
 import random
@@ -354,3 +355,86 @@ def test_gen_and_enumeration_output_is_json_dumps_indent_2(golden_instances, ban
     for path in golden_instances.values():
         assert path.read_text() == canonical(path.read_text())
     assert main(["verify", str(golden_instances["full"])]) == 0
+
+
+@pytest.fixture
+def collector_state():
+    """Puts the cyclic collector back as the test found it."""
+    enabled = gc.isenabled()
+    yield
+    if enabled:
+        gc.enable()
+    else:
+        gc.disable()
+
+
+def _failing_handler(doc, args):
+    raise RuntimeError("boom")
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+@pytest.mark.parametrize("case,expected", [
+    ("solution", 0), ("infeasible", 1), ("malformed", 2), ("size guard", 3),
+    ("internal", 70), ("bad flag", SystemExit),
+])
+def test_main_restores_the_collector_state(case, expected, enabled, banane_path, tmp_path,
+                                           capsys, monkeypatch, collector_state):
+    argv = {
+        "solution": ["nd", banane_path],
+        "infeasible": ["lettericity", "--max-k", "1", banane_path],
+        "malformed": ["nd", str(tmp_path / "missing.json")],
+        "size guard": ["gen", "--n", "8", "--k", "2", "--mode", "word", "--feasible", "false"],
+        "internal": ["nd", banane_path],
+        "bad flag": ["nd", "--no-such-flag", banane_path],
+    }[case]
+    if case == "internal":
+        monkeypatch.setitem(cli._HANDLERS, "nd", _failing_handler)
+    if enabled:
+        gc.enable()
+    else:
+        gc.disable()
+    if expected is SystemExit:
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+    else:
+        assert main(argv) == expected
+    assert gc.isenabled() is enabled
+    capsys.readouterr()
+
+
+def test_main_runs_with_the_collector_paused(banane_path, capsys, monkeypatch,
+                                             collector_state):
+    seen = []
+
+    def handler(doc, args):
+        seen.append(gc.isenabled())
+        return {"status": "solution"}, 0
+
+    monkeypatch.setitem(cli._HANDLERS, "nd", handler)
+    gc.enable()
+    assert main(["nd", banane_path]) == 0
+    assert seen == [False] and gc.isenabled()
+    capsys.readouterr()
+
+
+def test_cyclic_garbage_of_a_call_does_not_grow_with_n(tmp_path, capsys, collector_state):
+    # What one call leaves for the collector is a constant (the argument
+    # parser), so pausing the collector for the call never piles up
+    # garbage in proportion to the instance.
+    commands = [["decode"], ["retrieve-word"], ["retrieve-decoder"], ["retrieve-coloring"],
+                ["verify"], ["nd"], ["sym-lettericity"]]
+    garbage = {}
+    for n in (20, 300):
+        graph, letters, coloring, word, decoder = cli._gen_parts(random.Random(3), n, 6)
+        path = tmp_path / f"n{n}.json"
+        path.write_text(serialize_instance(
+            InstanceDocument(graph, letters, coloring, word, decoder)))
+        for command in commands:
+            # Paused by the caller too, so nothing collects before gc.collect().
+            gc.disable()
+            gc.collect()
+            assert main([*command, str(path), "-o", str(tmp_path / "out.json")]) == 0
+            garbage[command[0], n] = gc.collect()
+    for command in commands:
+        assert garbage[command[0], 300] <= garbage[command[0], 20] + 20, garbage

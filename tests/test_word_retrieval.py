@@ -1,3 +1,4 @@
+import heapq
 import random
 
 import pytest
@@ -5,17 +6,18 @@ from hypothesis import given, settings, strategies as st
 
 from lettergraphs import (Coloring, Graph, MalformedInstanceError, decode,
                           retrieve_word)
+from lettergraphs.cli import _flip_pair, _gen_parts
 from lettergraphs.graphs import members
-from lettergraphs.word_retrieval import _successor_masks
+from lettergraphs.word_retrieval import _predecessor_rows
 from instances import (banane_instance, random_graph, random_realizable,
                        realization_exists)
 
 
 def named_arcs(graph, coloring, decoder):
-    """The precedence digraph's arcs (u, v), read off the successor rows."""
-    succ = _successor_masks(graph, coloring, decoder)
-    return {(graph.vertices[i], graph.vertices[j])
-            for i, row in enumerate(succ) for j in members(row)}
+    """The precedence digraph's arcs (u, v), read off the predecessor rows."""
+    pred = _predecessor_rows(graph, coloring, decoder)
+    return {(graph.vertices[j], graph.vertices[i])
+            for i, row in enumerate(pred) for j in members(row)}
 
 
 def test_banane_digraph_arcs():
@@ -83,7 +85,7 @@ def test_topological_order_detects_cycles():
     graph = Graph(["x", "y"])
     coloring = Coloring({"x": "a", "y": "b"}, ("a", "b"))
     decoder = [("a", "b"), ("b", "a")]
-    assert _successor_masks(graph, coloring, decoder) == [0b10, 0b01]
+    assert _predecessor_rows(graph, coloring, decoder) == [0b10, 0b01]
     assert retrieve_word(graph, coloring, decoder) is None
 
 
@@ -142,13 +144,56 @@ def pairwise_successor_masks(graph, coloring, decoder):
 @settings(max_examples=150)
 @given(st.integers(min_value=0, max_value=9), st.integers(min_value=1, max_value=4),
        st.randoms(use_true_random=False))
-def test_successor_masks_match_the_pairwise_rule(n, k, rng):
+def test_predecessor_rows_match_the_pairwise_rule(n, k, rng):
     letters = "abcd"[:k]
     graph = random_graph(rng, n, rng.random())
     coloring = Coloring({v: rng.choice(letters) for v in graph.vertices}, tuple(letters))
     decoder = frozenset((a, b) for a in letters for b in letters if rng.random() < 0.5)
-    assert _successor_masks(graph, coloring, decoder) == \
-        pairwise_successor_masks(graph, coloring, decoder)
+    succ = pairwise_successor_masks(graph, coloring, decoder)
+    transpose = [sum(1 << j for j in range(graph.n) if succ[j] >> i & 1)
+                 for i in range(graph.n)]
+    assert _predecessor_rows(graph, coloring, decoder) == transpose
+
+
+def kahn_order(succ):
+    """Kahn's algorithm with in-degree counts over every arc, smallest
+    index first among the sources; None when a cycle is left."""
+    n = len(succ)
+    indegree = [0] * n
+    for row in succ:
+        for j in members(row):
+            indegree[j] += 1
+    ready = [i for i in range(n) if indegree[i] == 0]
+    heapq.heapify(ready)
+    order = []
+    while ready:
+        i = heapq.heappop(ready)
+        order.append(i)
+        for j in members(succ[i]):
+            indegree[j] -= 1
+            if indegree[j] == 0:
+                heapq.heappush(ready, j)
+    return order if len(order) == n else None
+
+
+def test_watched_peel_matches_kahns_sort():
+    outcomes = {"solved": 0, "cyclic": 0}
+    for seed in range(320):
+        rng = random.Random(seed)
+        n = rng.randint(2, 40)
+        k = rng.randint(1, min(n, 5))
+        graph, _, coloring, _, decoder = _gen_parts(rng, n, k)
+        if seed % 2:
+            graph = _flip_pair(graph, rng)
+        expected = kahn_order(pairwise_successor_masks(graph, coloring, decoder))
+        solution = retrieve_word(graph, coloring, decoder)
+        if expected is None:
+            assert solution is None
+        else:
+            assert solution.permutation == tuple(graph.vertices[i] for i in expected)
+        outcomes["solved" if expected is not None else "cyclic"] += 1
+    # both outcomes are exercised, and the flips make many instances cyclic
+    assert outcomes["solved"] >= 160 and outcomes["cyclic"] >= 100
 
 
 def test_solution_is_deterministic():
