@@ -9,8 +9,8 @@ oracles and neighborhood-diversity tools for cross-checking them.
 
 from .coloring_retrieval import (find_isomorphism, gi_to_coloring_instance,
                                  isomorphic_coloring, retrieve_coloring)
-from .decoder_retrieval import (build_formula, retrieve_decoder,
-                                verify_decoder)
+from .decoder_retrieval import (build_formula, realize_decoder,
+                                retrieve_decoder, verify_decoder)
 from .diversity import (TwinPartition, neighborhood_diversity,
                         symmetric_witness, twin_partition)
 from .documents import (InstanceDocument, parse_instance, serialize_instance)
@@ -23,13 +23,12 @@ from .oracles import (brute_isomorphism, brute_lettericity,
                       brute_symmetric_lettericity, characterization_check,
                       enumerate_decoders)
 from .twosat import TwoSatFormula, solve_2sat
-from .word_retrieval import GeneralizedSolution, retrieve_word
+from .word_retrieval import retrieve_word
 
 __all__ = [
     "ColoredGraph",
     "Coloring",
     "Decoder",
-    "GeneralizedSolution",
     "Graph",
     "InstanceDocument",
     "InternalConsistencyError",
@@ -54,6 +53,7 @@ __all__ = [
     "neighborhood_diversity",
     "normalize_decoder",
     "parse_instance",
+    "realize_decoder",
     "retrieve_coloring",
     "retrieve_decoder",
     "retrieve_word",

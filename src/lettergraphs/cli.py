@@ -8,11 +8,13 @@ instance is malformed or cannot be read, or the -o file cannot be written,
 re-verification failed or an unexpected exception escaped (a bug, never an
 input problem).
 
-Solutions are re-verified in process before they are printed: a word or
-witness is checked position by position against the graph it claims to
-realize, a retrieved decoder is run back through the verifier, and a
-retrieved coloring's isomorphism is checked by comparing each vertex's
-bitmask adjacency row with the row its word position requires.
+Every solver answers with a letters.Realization (a retrieved decoder is
+first peeled into one by realize_decoder), and every answer is re-verified
+in process before it is printed, at one site, by check_realization: each
+vertex's bitmask adjacency row among the later word positions must be the
+row its letter's decoder pairs require, and each vertex must carry its
+position's letter.  That covers verify's "true", every decoder of
+retrieve-decoder --all and the graph decode prints.
 
 main() runs with Python's cyclic garbage collector paused: parsing a large
 instance would otherwise trigger hundreds of collections over lists that
@@ -30,10 +32,10 @@ import string
 import sys
 import time
 import traceback
-from typing import Optional
+from typing import Callable, Optional, Sequence
 
 from .coloring_retrieval import isomorphic_coloring
-from .decoder_retrieval import retrieve_decoder, verify_decoder
+from .decoder_retrieval import realize_decoder, retrieve_decoder
 from .diversity import symmetric_witness, twin_partition
 from .documents import (InstanceDocument, coloring_payload, decoder_payload,
                         dump_json, graph_payload, parse_instance,
@@ -67,89 +69,75 @@ def _timed(func, *args, **kwargs):
     return result, round((time.perf_counter() - start) * 1000.0, 3)
 
 
+def _answer(graph: Graph, found: Optional[Realization], ms: float,
+            fields: Callable[[Realization], dict], **infeasible) -> tuple[dict, int]:
+    """The result document and exit code of an answer: None reports the
+    instance infeasible with the `infeasible` fields, and a realization is
+    re-checked by check_realization before fields(found) fills the document."""
+    if found is None:
+        return {"status": "infeasible", **infeasible, "timing_ms": ms}, EXIT_INFEASIBLE
+    check_realization(graph, found.mapping, found.word, found.decoder, found.coloring)
+    return {"status": "solution", **fields(found), "timing_ms": ms}, EXIT_SOLUTION
+
+
 def _cmd_decode(doc: InstanceDocument, args) -> tuple[dict, int]:
     _require(doc, "decoder", "word")
     colored, ms = _timed(decode, doc.decoder, doc.word, doc.alphabet)
-    identity = {v: i + 1 for i, v in enumerate(colored.graph.vertices)}
-    check_realization(colored.graph, identity, doc.word, doc.decoder, colored.coloring)
-    payload = {
-        "status": "solution",
-        "graph": graph_payload(colored.graph),
-        "coloring": coloring_payload(colored.coloring, colored.graph.vertices),
-        "timing_ms": ms,
-    }
-    return payload, EXIT_SOLUTION
+    graph, coloring = colored.graph, colored.coloring
+    found = Realization(coloring.alphabet, tuple(doc.word), tuple(sorted(doc.decoder)), coloring,
+                        {v: i + 1 for i, v in enumerate(graph.vertices)})
+    return _answer(graph, found, ms, lambda r: {
+        "graph": graph_payload(graph),
+        "coloring": coloring_payload(coloring, graph.vertices),
+    })
 
 
 def _cmd_retrieve_word(doc: InstanceDocument, args) -> tuple[dict, int]:
     _require(doc, "coloring", "decoder")
-    solution, ms = _timed(retrieve_word, doc.graph, doc.coloring, doc.decoder)
-    if solution is None:
-        return {"status": "infeasible", "timing_ms": ms}, EXIT_INFEASIBLE
-    mapping = {v: i + 1 for i, v in enumerate(solution.permutation)}
-    check_realization(doc.graph, mapping, solution.word, doc.decoder, doc.coloring)
-    payload = {
-        "status": "solution",
-        "word": list(solution.word),
-        "permutation": list(solution.permutation),
-        "timing_ms": ms,
-    }
-    return payload, EXIT_SOLUTION
+    found, ms = _timed(retrieve_word, doc.graph, doc.coloring, doc.decoder)
+    return _answer(doc.graph, found, ms, lambda r: {
+        "word": list(r.word),
+        "permutation": list(r.permutation),
+    })
 
 
 def _cmd_retrieve_decoder(doc: InstanceDocument, args) -> tuple[dict, int]:
     _require(doc, "alphabet", "coloring", "word")
-    if args.all:
-        decoders, ms = _timed(enumerate_decoders, doc.graph, doc.coloring,
-                              doc.word, jobs=args.jobs)
-        for d in decoders:
-            if not verify_decoder(doc.graph, doc.coloring, doc.word, d):
-                raise InternalConsistencyError("enumerated decoder failed verification")
-        payload = {
-            "status": "solution" if decoders else "infeasible",
-            "decoders": [decoder_payload(d) for d in decoders],
-            "count": len(decoders),
-            "timing_ms": ms,
-        }
-        return payload, EXIT_SOLUTION if decoders else EXIT_INFEASIBLE
-    decoder, ms = _timed(retrieve_decoder, doc.graph, doc.coloring, doc.word)
-    if decoder is None:
-        return {"status": "infeasible", "timing_ms": ms}, EXIT_INFEASIBLE
-    if not verify_decoder(doc.graph, doc.coloring, doc.word, decoder):
-        raise InternalConsistencyError("retrieved decoder failed verification")
-    return {
-        "status": "solution",
-        "decoder": decoder_payload(decoder),
+    if not args.all:
+        decoder, ms = _timed(retrieve_decoder, doc.graph, doc.coloring, doc.word)
+        # retrieve_decoder has peeled its decoder, so realize_decoder finds a realization.
+        found = None if decoder is None else realize_decoder(doc.graph, doc.coloring,
+                                                             doc.word, decoder)
+        return _answer(doc.graph, found, ms, lambda r: {"decoder": decoder_payload(r.decoder)})
+    decoders, ms = _timed(enumerate_decoders, doc.graph, doc.coloring, doc.word, jobs=args.jobs)
+    for d in decoders:
+        # Checked as a single answer is; an enumerated decoder must peel.
+        found = realize_decoder(doc.graph, doc.coloring, doc.word, d)
+        if _answer(doc.graph, found, ms, lambda r: {})[1] != EXIT_SOLUTION:
+            raise InternalConsistencyError("enumerated decoder failed verification")
+    payload = {
+        "status": "solution" if decoders else "infeasible",
+        "decoders": [decoder_payload(d) for d in decoders],
+        "count": len(decoders),
         "timing_ms": ms,
-    }, EXIT_SOLUTION
+    }
+    return payload, EXIT_SOLUTION if decoders else EXIT_INFEASIBLE
 
 
 def _cmd_retrieve_coloring(doc: InstanceDocument, args) -> tuple[dict, int]:
     _require(doc, "alphabet", "decoder", "word")
     found, ms = _timed(isomorphic_coloring, doc.graph, doc.alphabet, doc.decoder, doc.word)
-    if found is None:
-        return {"status": "infeasible", "timing_ms": ms}, EXIT_INFEASIBLE
-    mapping, coloring = found
-    positions = {v: int(mapping[v]) for v in doc.graph.vertices}
-    check_realization(doc.graph, positions, doc.word, doc.decoder, coloring)
-    payload = {
-        "status": "solution",
-        "coloring": coloring_payload(coloring, doc.graph.vertices),
-        "isomorphism": {v: mapping[v] for v in doc.graph.vertices},
-        "timing_ms": ms,
-    }
-    return payload, EXIT_SOLUTION
+    vertices = doc.graph.vertices
+    return _answer(doc.graph, found, ms, lambda r: {
+        "coloring": coloring_payload(r.coloring, vertices),
+        "isomorphism": {v: str(r.mapping[v]) for v in vertices},
+    })
 
 
 def _cmd_verify(doc: InstanceDocument, args) -> tuple[dict, int]:
     _require(doc, "coloring", "word", "decoder")
-    verified, ms = _timed(verify_decoder, doc.graph, doc.coloring, doc.word, doc.decoder)
-    payload = {
-        "status": "solution" if verified else "infeasible",
-        "verified": verified,
-        "timing_ms": ms,
-    }
-    return payload, EXIT_SOLUTION if verified else EXIT_INFEASIBLE
+    found, ms = _timed(realize_decoder, doc.graph, doc.coloring, doc.word, doc.decoder)
+    return _answer(doc.graph, found, ms, lambda r: {"verified": True}, verified=False)
 
 
 def _cmd_nd(doc: InstanceDocument, args) -> tuple[dict, int]:
@@ -164,34 +152,28 @@ def _cmd_nd(doc: InstanceDocument, args) -> tuple[dict, int]:
     return payload, EXIT_SOLUTION
 
 
-def _realization_payload(graph: Graph, witness: Realization) -> dict:
-    decoder = decoder_payload(witness.decoder)
-    check_realization(graph, witness.mapping, witness.word, decoder, witness.coloring)
+def _witness_fields(vertices: Sequence[str], witness: Realization) -> dict:
     return {
-        "status": "solution",
         "value": witness.k,
         "alphabet": list(witness.alphabet),
         "word": list(witness.word),
-        "decoder": decoder,
-        "coloring": coloring_payload(witness.coloring, graph.vertices),
+        "decoder": decoder_payload(witness.decoder),
+        "coloring": coloring_payload(witness.coloring, vertices),
     }
 
 
 def _cmd_sym_lettericity(doc: InstanceDocument, args) -> tuple[dict, int]:
-    witness, ms = _timed(symmetric_witness, doc.graph)
-    payload = _realization_payload(doc.graph, witness)
-    payload["timing_ms"] = ms
-    return payload, EXIT_SOLUTION
+    found, ms = _timed(symmetric_witness, doc.graph)
+    return _answer(doc.graph, found, ms, lambda r: _witness_fields(doc.graph.vertices, r))
 
 
 def _cmd_lettericity(doc: InstanceDocument, args) -> tuple[dict, int]:
-    witness, ms = _timed(brute_lettericity, doc.graph, args.max_k, jobs=args.jobs)
-    if witness is None:
-        return {"status": "infeasible", "max_k": args.max_k, "timing_ms": ms}, EXIT_INFEASIBLE
-    payload = _realization_payload(doc.graph, witness)
-    payload["mapping"] = {v: witness.mapping[v] for v in doc.graph.vertices}
-    payload["timing_ms"] = ms
-    return payload, EXIT_SOLUTION
+    found, ms = _timed(brute_lettericity, doc.graph, args.max_k, jobs=args.jobs)
+    vertices = doc.graph.vertices
+    return _answer(doc.graph, found, ms, lambda r: {
+        **_witness_fields(vertices, r),
+        "mapping": {v: r.mapping[v] for v in vertices},
+    }, max_k=args.max_k)
 
 
 def _flip_pair(graph: Graph, rng: random.Random) -> Graph:

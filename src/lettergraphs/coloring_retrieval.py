@@ -19,7 +19,7 @@ from typing import Iterable, Iterator, Optional, Sequence
 from .diversity import twin_partition
 from .errors import MalformedInstanceError
 from .graphs import Coloring, Graph
-from .letters import Decoder, Word, as_word, decode, normalize_decoder
+from .letters import Decoder, Realization, Word, as_word, decode, normalize_decoder
 
 Labels = list[int]
 Neighbors = Sequence[Sequence[int]]
@@ -124,26 +124,29 @@ def retrieve_coloring(graph: Graph, alphabet: Sequence[str],
     position.  Returns None when the graphs are not isomorphic.
     """
     found = isomorphic_coloring(graph, alphabet, decoder, word)
-    return None if found is None else found[1]
+    return None if found is None else found.coloring
 
 
 def isomorphic_coloring(graph: Graph, alphabet: Sequence[str],
                         decoder: Iterable[Sequence[str]],
-                        word: Sequence[str]) -> Optional[tuple[dict[str, str], Coloring]]:
-    """`retrieve_coloring` together with its isomorphism.
+                        word: Sequence[str]) -> Optional[Realization]:
+    """`retrieve_coloring` together with its isomorphism, or None.
 
-    Returns (f, coloring), where f maps each vertex to its image position in
-    the letter graph of (D, w) (positions named "1".."n"), or None.
+    The realization's mapping is the isomorphism: it sends each vertex to
+    its image position (1..n) in the letter graph of (D, w).
     """
     w = as_word(word)
     if len(w) != graph.n:
         raise MalformedInstanceError("word length differs from the vertex count")
-    target = decode(decoder, w, alphabet)
-    mapping = find_isomorphism(graph, target.graph)
-    if mapping is None:
+    d = normalize_decoder(decoder)
+    target = decode(d, w, alphabet)
+    image = find_isomorphism(graph, target.graph)
+    if image is None:
         return None
-    assignment = {v: w[int(mapping[v]) - 1] for v in graph.vertices}
-    return mapping, Coloring(assignment, tuple(alphabet))
+    mapping = {v: int(image[v]) for v in graph.vertices}
+    assignment = {v: w[p - 1] for v, p in mapping.items()}
+    letters = tuple(alphabet)
+    return Realization(letters, w, tuple(sorted(d)), Coloring(assignment, letters), mapping)
 
 
 def gi_to_coloring_instance(g1: Graph, g2: Graph) -> tuple[Graph, tuple[str, ...], Decoder, Word]:

@@ -45,6 +45,7 @@ from .errors import InternalConsistencyError, MalformedInstanceError
 from .graphs import Coloring, Graph, color_masks, members
 from .letters import (
     Decoder,
+    Realization,
     Word,
     checked_decoder,
     count_runs,
@@ -155,14 +156,15 @@ class DecoderInstance:
         return next(((a, b) for a, b in self.one_sided()
                      if b not in self.blocks[a][0] and a not in self.blocks[b][0]), None)
 
-    def realizes(self, decoder: Iterable[DirectedPair]) -> bool:
-        """Whether the decoder, over alphabet letters, realizes the whole instance."""
-        return self.realizes_visible(self._visible(self.letters, decoder))
+    def order(self, decoder: Iterable[DirectedPair]) -> Optional[list[int]]:
+        """The vertex indices in word order when the decoder, over alphabet
+        letters, realizes the whole instance, else None."""
+        return self._peels(self.word, self._whole, self._visible(self.letters, decoder))
 
     def realizes_visible(self, visible: dict[str, int]) -> bool:
         """Whether the whole instance is realized when each letter a sees
         exactly the vertices of visible[a], a union of color classes."""
-        return self._peels(self.word, self._whole, visible)
+        return self._peels(self.word, self._whole, visible) is not None
 
     def realizes_block(self, center: str, partners: Sequence[str],
                        decoder: Iterable[DirectedPair]) -> bool:
@@ -178,7 +180,8 @@ class DecoderInstance:
             partner_mask |= self.masks[b]
         rows = dict.fromkeys(partners, self.masks[center])
         rows[center] = partner_mask
-        return self._peels(self.projection(rows), rows, self._visible(rows, decoder))
+        return self._peels(self.projection(rows), rows,
+                           self._visible(rows, decoder)) is not None
 
     def _visible(self, letters: Iterable[str],
                  decoder: Iterable[DirectedPair]) -> dict[str, int]:
@@ -188,10 +191,11 @@ class DecoderInstance:
         return visible
 
     def _peels(self, word: Sequence[str], rows: dict[str, int],
-               visible: dict[str, int]) -> bool:
+               visible: dict[str, int]) -> Optional[list[int]]:
         """Greedy peeling on the letters of `rows`: each letter's vertices
         keep only their edges into rows[letter], and letter a sees exactly
-        the vertices of visible[a].
+        the vertices of visible[a].  Returns the peeled vertex indices in
+        word order, or None when a word letter finds no eligible vertex.
 
         Each word letter a takes the first vertex v of its queue with
         blocked[v] & remaining == 0, where
@@ -207,6 +211,7 @@ class DecoderInstance:
         with the smallest index never loses a solution.
         """
         adj, class_members = self.adj, self.class_members
+        order = []
         remaining = 0
         for a in rows:
             remaining |= self.masks[a]
@@ -220,23 +225,36 @@ class DecoderInstance:
             for i, (v, blocked) in enumerate(queue):
                 if not blocked & remaining:
                     remaining ^= 1 << v
+                    order.append(v)
                     del queue[i]
                     break
             else:
-                return False
-        return True
+                return None
+        return order
+
+
+def realize_decoder(graph: Graph, coloring: Coloring, word: Sequence[str],
+                    decoder: Iterable[Sequence[str]]) -> Optional[Realization]:
+    """The realization of the graph by the word and decoder, or None.
+
+    Peels vertices greedily (see DecoderInstance._peels) after checking
+    that the word and decoder stay inside the alphabet and that each letter
+    occurs as often as it colors vertices; each vertex's word position is
+    its place in the peeled order.
+    """
+    inst = DecoderInstance(graph, coloring, word)
+    d = checked_decoder(decoder, coloring.alphabet)
+    order = inst.order(d)
+    if order is None:
+        return None
+    mapping = {graph.vertices[v]: p for p, v in enumerate(order, 1)}
+    return Realization(coloring.alphabet, inst.word, tuple(sorted(d)), coloring, mapping)
 
 
 def verify_decoder(graph: Graph, coloring: Coloring, word: Sequence[str],
                    decoder: Iterable[Sequence[str]]) -> bool:
-    """Decide whether the decoder realizes the graph from the word.
-
-    Peels vertices greedily (see DecoderInstance._peels) after checking
-    that the word and decoder stay inside the alphabet and that each letter
-    occurs as often as it colors vertices.
-    """
-    inst = DecoderInstance(graph, coloring, word)
-    return inst.realizes(checked_decoder(decoder, coloring.alphabet))
+    """Whether realize_decoder finds a realization."""
+    return realize_decoder(graph, coloring, word, decoder) is not None
 
 
 def forced_pair_word(inst: DecoderInstance, a: str, b: str) -> Optional[DirectedPair]:
@@ -392,6 +410,6 @@ def retrieve_decoder(graph: Graph, coloring: Coloring,
         if kind is PairKind.FULL:
             chosen.update(((a, b), (b, a)))
     decoder = frozenset(chosen)
-    if not inst.realizes(decoder):
+    if inst.order(decoder) is None:
         raise InternalConsistencyError("assembled decoder failed verification")
     return decoder

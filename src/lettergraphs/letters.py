@@ -136,6 +136,11 @@ class Realization:
     def k(self) -> int:
         return len(self.alphabet)
 
+    @property
+    def permutation(self) -> tuple[str, ...]:
+        """The vertices in word order."""
+        return tuple(sorted(self.mapping, key=self.mapping.__getitem__))
+
 
 def check_realization(graph: Graph, mapping: Mapping[str, int], word: Sequence[str],
                       decoder: Iterable[Sequence[str]],

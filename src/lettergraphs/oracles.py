@@ -24,6 +24,7 @@ from __future__ import annotations
 import itertools
 import os
 from concurrent.futures import ProcessPoolExecutor
+from operator import itemgetter
 from typing import Optional, Sequence
 
 from .decoder_retrieval import DecoderInstance, PairKind
@@ -139,17 +140,16 @@ def _mask_decoder(slots: list[tuple[str, str]], mask: int, symmetric: bool) -> D
 
 def _scan_colorings(graph: Graph, k: int, rgs_list: list[tuple[int, ...]],
                     base_index: int, symmetric: bool):
-    """First (coloring index, decoder mask) admitting a realization, scanning
-    colorings in order and decoder masks ascending."""
+    """(coloring index, realization) for the first coloring and decoder mask
+    admitting a realization, scanning colorings in order and decoder masks
+    ascending; the realization is retrieve_word's."""
     letters = ORACLE_LETTERS[:k]
     vertices = graph.vertices
     target = graph.edge_count
     for offset, rgs in enumerate(rgs_list):
         coloring = Coloring({vertices[i]: letters[rgs[i]] for i in range(len(vertices))},
                             tuple(letters))
-        sizes = {a: 0 for a in letters}
-        for value in rgs:
-            sizes[letters[value]] += 1
+        sizes = {a: len(group) for a, group in coloring.color_groups.items()}
         slots, caps, partner = _decoder_slots(letters, sizes, symmetric)
         m = len(slots)
         tables = _edge_bound_tables(caps, partner) if m <= 18 else None
@@ -160,8 +160,7 @@ def _scan_colorings(graph: Graph, k: int, rgs_list: list[tuple[int, ...]],
             decoder = _mask_decoder(slots, mask, symmetric)
             solution = retrieve_word(graph, coloring, decoder)
             if solution is not None:
-                return (base_index + offset, mask, rgs, decoder,
-                        solution.permutation, solution.word)
+                return base_index + offset, solution
     return None
 
 
@@ -206,13 +205,9 @@ def _search_realization(graph: Graph, k_max: int, symmetric: bool,
         rgs_list = list(_surjective_colorings(n, k))
         hits = _fan_out(_scan_chunk, lambda start, stop: (
             graph, k, rgs_list[start:stop], start, symmetric), len(rgs_list), jobs, 2)
-        hit = min((h for h in hits if h is not None), default=None)
+        hit = min((h for h in hits if h is not None), key=itemgetter(0), default=None)
         if hit is not None:
-            _, _, rgs, decoder, permutation, word = hit
-            letters = tuple(ORACLE_LETTERS[:k])
-            coloring = Coloring({graph.vertices[i]: letters[rgs[i]] for i in range(n)}, letters)
-            mapping = {v: i + 1 for i, v in enumerate(permutation)}
-            return Realization(letters, word, tuple(sorted(decoder)), coloring, mapping)
+            return hit[1]
     return None
 
 

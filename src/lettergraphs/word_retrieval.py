@@ -21,29 +21,30 @@ with the ready vertices in one heap the order is the same.
 
 A linear order realizes G as the letter graph of its color word if and only
 if it is a topological order of H, so the instance is solvable exactly when
-H is acyclic, that is, when the peel places every vertex.
+H is acyclic, that is, when the peel places every vertex.  The answer is a
+letters.Realization: the peeled order, its color word, the decoder as a
+sorted tuple and the given coloring.
 """
 
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 from .graphs import Coloring, Graph, color_masks
-from .letters import Word, checked_decoder
+from .letters import Decoder, Realization, checked_decoder
 
 
-def _predecessor_rows(graph: Graph, coloring: Coloring,
-                      decoder: Iterable[Sequence[str]]) -> list[int]:
+def _predecessor_rows(graph: Graph, coloring: Coloring, decoder: Decoder) -> list[int]:
     """Arc bitmask per vertex index; bit j of pred[i] means arc (j, i).
 
     after[c] holds the vertices whose letter x has (c, x) in D, so the arcs
-    into i come from its neighbors XOR after[chi(i)], less i itself.
+    into i come from its neighbors XOR after[chi(i)], less i itself.  The
+    decoder's letters must already be checked against the alphabet.
     """
     masks = color_masks(graph, coloring)
     after = dict.fromkeys(coloring.alphabet, 0)
-    for c, x in checked_decoder(decoder, coloring.alphabet):
+    for c, x in decoder:
         after[c] |= masks[x]
     return [(row ^ after[coloring[v]]) & ~(1 << i)
             for i, (v, row) in enumerate(zip(graph.vertices, graph.adjacency_masks()))]
@@ -77,23 +78,18 @@ def _peel_order(pred: list[int]) -> Optional[list[int]]:
     return order
 
 
-@dataclass(frozen=True)
-class GeneralizedSolution:
-    """A vertex order realizing the graph, with its induced color word."""
-
-    permutation: tuple[str, ...]
-    word: Word
-
-
 def retrieve_word(graph: Graph, coloring: Coloring,
-                  decoder: Iterable[Sequence[str]]) -> Optional[GeneralizedSolution]:
-    """Find a vertex order whose color word decodes back to the graph.
+                  decoder: Iterable[Sequence[str]]) -> Optional[Realization]:
+    """A realization whose color word decodes back to the graph.
 
-    Returns None exactly when no such order exists.  Among the valid orders
+    Returns None exactly when no vertex order does.  Among the valid orders
     the smallest vertex index wins whenever several vertices are ready.
     """
-    order = _peel_order(_predecessor_rows(graph, coloring, decoder))
+    d = checked_decoder(decoder, coloring.alphabet)
+    order = _peel_order(_predecessor_rows(graph, coloring, d))
     if order is None:
         return None
-    permutation = tuple(graph.vertices[i] for i in order)
-    return GeneralizedSolution(permutation, tuple(coloring[v] for v in permutation))
+    permutation = [graph.vertices[i] for i in order]
+    return Realization(coloring.alphabet, tuple(coloring[v] for v in permutation),
+                       tuple(sorted(d)), coloring,
+                       {v: p for p, v in enumerate(permutation, 1)})

@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import io
 import json
@@ -9,7 +10,6 @@ from lettergraphs import cli
 from lettergraphs.cli import gen_instance, main
 from lettergraphs.documents import (InstanceDocument, parse_instance,
                                     serialize_instance)
-from lettergraphs.word_retrieval import GeneralizedSolution
 from instances import banane_instance
 
 BANANE_DOC = """\
@@ -238,11 +238,25 @@ def test_infeasible_exit_1(capsys, tmp_path):
     assert code == 1 and out["status"] == "infeasible"
 
 
-def test_internal_verification_failure_exit_70(banane_path, capsys, monkeypatch):
-    wrong = GeneralizedSolution(("b1", "a1", "n1", "a2", "n2", "e1"),
-                                tuple("baanne"))
-    monkeypatch.setattr(cli, "retrieve_word", lambda *args: wrong)
-    code = main(["retrieve-word", banane_path])
+def swapped(found):
+    """The realization with the word positions of b1 and a1 exchanged."""
+    mapping = dict(found.mapping)
+    mapping["b1"], mapping["a1"] = mapping["a1"], mapping["b1"]
+    return dataclasses.replace(found, mapping=mapping)
+
+
+@pytest.mark.parametrize("argv,solver", [
+    (["retrieve-word"], "retrieve_word"),
+    (["retrieve-decoder"], "realize_decoder"),
+    (["retrieve-decoder", "--all"], "realize_decoder"),
+    (["retrieve-coloring"], "isomorphic_coloring"),
+    (["verify"], "realize_decoder"),
+], ids=["retrieve-word", "retrieve-decoder", "retrieve-decoder-all", "retrieve-coloring",
+        "verify"])
+def test_internal_verification_failure_exit_70(argv, solver, banane_path, capsys, monkeypatch):
+    real = getattr(cli, solver)
+    monkeypatch.setattr(cli, solver, lambda *args, **kwargs: swapped(real(*args, **kwargs)))
+    code = main(argv + [banane_path])
     err = capsys.readouterr().err
     assert code == 70
     assert "internal error" in err

@@ -2,11 +2,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lettergraphs import (Coloring, Graph, InternalConsistencyError,
-                          MalformedInstanceError, decode, normalize_decoder)
+                          MalformedInstanceError, brute_lettericity, decode,
+                          isomorphic_coloring, normalize_decoder, realize_decoder,
+                          retrieve_word, symmetric_witness)
 from lettergraphs.letters import (as_word, check_realization, count_runs,
                                   decoder_letters, is_palindrome,
                                   is_symmetric_decoder, project_word)
-from instances import banane_instance
+from instances import banane_instance, random_realizable
 
 words = st.lists(st.sampled_from("abc"), max_size=10).map(tuple)
 
@@ -218,3 +220,31 @@ class TestCheckRealizationPairs:
         outcomes = {_outcome(graph, mapping, word, d, coloring) for d in orders}
         assert len(outcomes) == 1
         assert (outcomes.pop() is None) == (not flip)
+
+
+# Each producer of a Realization, as a solver of a random_realizable tuple
+# (graph, coloring, word, decoder), with the largest n and k it is run at.
+# Brute force stops at k = 3: a fourth letter alone is 2**16 decoders per
+# coloring.
+PRODUCERS = {
+    "retrieve_word": (lambda g, c, w, d: retrieve_word(g, c, d), 8, 4),
+    "realize_decoder": (realize_decoder, 8, 4),
+    "isomorphic_coloring": (lambda g, c, w, d: isomorphic_coloring(g, c.alphabet, d, w), 8, 4),
+    "symmetric_witness": (lambda g, c, w, d: symmetric_witness(g), 8, 4),
+    "brute_lettericity": (lambda g, c, w, d: brute_lettericity(g, len(c.alphabet)), 6, 3),
+}
+
+
+@pytest.mark.parametrize("producer", sorted(PRODUCERS))
+@settings(deadline=None)
+@given(st.integers(min_value=1, max_value=8), st.integers(min_value=1, max_value=4),
+       st.randoms(use_true_random=False))
+def test_every_producer_returns_a_checked_realization(producer, n, k, rng):
+    solve, max_n, max_k = PRODUCERS[producer]
+    n = min(n, max_n)
+    graph, coloring, word, decoder = random_realizable(rng, n, min(k, max_k, n))
+    found = solve(graph, coloring, word, decoder)
+    assert found is not None
+    assert list(found.decoder) == sorted(set(found.decoder))
+    assert [found.mapping[v] for v in found.permutation] == list(range(1, n + 1))
+    check_realization(graph, found.mapping, found.word, found.decoder, found.coloring)
