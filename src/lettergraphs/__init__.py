@@ -9,8 +9,8 @@ oracles and neighborhood-diversity tools for cross-checking them.
 
 from .coloring_retrieval import (find_isomorphism, gi_to_coloring_instance,
                                  isomorphic_coloring, retrieve_coloring)
-from .decoder_retrieval import (build_formula, realize_decoder,
-                                retrieve_decoder, verify_decoder)
+from .decoder_retrieval import (build_formula, decoder_realization,
+                                realize_decoder, retrieve_decoder, verify_decoder)
 from .diversity import (TwinPartition, neighborhood_diversity,
                         symmetric_witness, twin_partition)
 from .documents import (InstanceDocument, parse_instance, serialize_instance)
@@ -45,6 +45,7 @@ __all__ = [
     "build_formula",
     "characterization_check",
     "decode",
+    "decoder_realization",
     "enumerate_decoders",
     "find_isomorphism",
     "gi_to_coloring_instance",

@@ -8,9 +8,9 @@ instance is malformed or cannot be read, or the -o file cannot be written,
 re-verification failed or an unexpected exception escaped (a bug, never an
 input problem).
 
-Every solver answers with a letters.Realization (a retrieved decoder is
-first peeled into one by realize_decoder), and every answer is re-verified
-in process before it is printed, at one site, by check_realization: each
+Every solver answers with a letters.Realization (a retrieved decoder with
+the order its final check peeled), and every answer is re-verified in
+process before it is printed, at one site, by check_realization: each
 vertex's bitmask adjacency row among the later word positions must be the
 row its letter's decoder pairs require, and each vertex must carry its
 position's letter.  That covers verify's "true", every decoder of
@@ -35,7 +35,7 @@ import traceback
 from typing import Callable, Optional, Sequence
 
 from .coloring_retrieval import isomorphic_coloring
-from .decoder_retrieval import realize_decoder, retrieve_decoder
+from .decoder_retrieval import decoder_realization, realize_decoder
 from .diversity import symmetric_witness, twin_partition
 from .documents import (InstanceDocument, coloring_payload, decoder_payload,
                         dump_json, graph_payload, parse_instance,
@@ -46,7 +46,7 @@ from .graphs import Coloring, Graph
 from .letters import Realization, check_realization, decode
 from .oracles import (brute_isomorphism, brute_lettericity,
                       brute_word_realization, enumerate_decoders)
-from .word_retrieval import retrieve_word
+from .word_retrieval import ColoredInstance, retrieve_word
 
 GEN_MODES = ("word", "decoder", "coloring")
 
@@ -84,8 +84,7 @@ def _cmd_decode(doc: InstanceDocument, args) -> tuple[dict, int]:
     _require(doc, "decoder", "word")
     colored, ms = _timed(decode, doc.decoder, doc.word, doc.alphabet)
     graph, coloring = colored.graph, colored.coloring
-    found = Realization(coloring.alphabet, tuple(doc.word), tuple(sorted(doc.decoder)), coloring,
-                        {v: i + 1 for i, v in enumerate(graph.vertices)})
+    found = ColoredInstance(graph, coloring).realization(range(graph.n), doc.decoder)
     return _answer(graph, found, ms, lambda r: {
         "graph": graph_payload(graph),
         "coloring": coloring_payload(coloring, graph.vertices),
@@ -104,10 +103,7 @@ def _cmd_retrieve_word(doc: InstanceDocument, args) -> tuple[dict, int]:
 def _cmd_retrieve_decoder(doc: InstanceDocument, args) -> tuple[dict, int]:
     _require(doc, "alphabet", "coloring", "word")
     if not args.all:
-        decoder, ms = _timed(retrieve_decoder, doc.graph, doc.coloring, doc.word)
-        # retrieve_decoder has peeled its decoder, so realize_decoder finds a realization.
-        found = None if decoder is None else realize_decoder(doc.graph, doc.coloring,
-                                                             doc.word, decoder)
+        found, ms = _timed(decoder_realization, doc.graph, doc.coloring, doc.word)
         return _answer(doc.graph, found, ms, lambda r: {"decoder": decoder_payload(r.decoder)})
     decoders, ms = _timed(enumerate_decoders, doc.graph, doc.coloring, doc.word, jobs=args.jobs)
     for d in decoders:

@@ -15,23 +15,19 @@ respecting chi:
     candidate decoders on blocks of the instance.
 
 Everything runs on one DecoderInstance, built and validated once per call:
-adjacency rows and per-letter vertex masks, the word projected to each
-letter set (cached per set), and two tables.  The pair table classifies
-every letter pair a <= b as full, empty or one-sided by one edge count; a
-self pair (a, a) stands for the class itself, full for a clique of at least
-two vertices, empty for an independent class, one-sided for a mixed one.
-The block table lists, per letter b, its one-sided partners x whose
-projection w[x, b] has at least two b-runs, with the palindromic ones among
-them; every solver step reads it instead of deriving it again.  A block
-check (a center letter, its partners, and only the center-to-partner edges)
-masks the instance's rows, not a smaller graph.
+word_retrieval.ColoredInstance's index of the colored graph (adjacency
+rows, class masks and members, visible masks, the Realization of a peeled
+order) plus the word, its projections (cached per letter set), the pair
+table (every letter pair full, empty or one-sided, by one edge count) and
+the block table (per letter, its one-sided partners whose projection has
+at least two of its runs, and the palindromic ones among them).  A block
+check masks the instance's rows instead of building a smaller graph.
 
 Every check, from the forced pairs to the final verify and the decoder
-enumeration, is one greedy peel along the (projected) word, which reads
-the decoder only as the union of classes each letter sees.  A vertex v of
-letter a may be peeled next exactly when blocked[v] & remaining == 0,
-where blocked[v] holds the vertices other than v at which v's kept row and
-the classes a sees differ; see DecoderInstance._peels.
+enumeration, is one greedy peel along the (projected) word that reads the
+decoder only as the classes each letter sees; see DecoderInstance._peels.
+The final verify's order is the answer: decoder_realization returns it as
+a Realization.
 """
 
 from __future__ import annotations
@@ -42,7 +38,7 @@ from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
 from .errors import InternalConsistencyError, MalformedInstanceError
-from .graphs import Coloring, Graph, color_masks, members
+from .graphs import Coloring, Graph
 from .letters import (
     Decoder,
     Realization,
@@ -53,6 +49,7 @@ from .letters import (
     project_word,
 )
 from .twosat import TwoSatFormula, solve_2sat
+from .word_retrieval import ColoredInstance
 
 DirectedPair = tuple[str, str]
 
@@ -63,16 +60,15 @@ class PairKind(Enum):
     ONE_SIDED = "one-sided"
 
 
-class DecoderInstance:
-    """A validated instance (G, chi, w) indexed by bitmasks.
+class DecoderInstance(ColoredInstance):
+    """A validated instance (G, chi, w): the colored graph's index plus the word.
 
-    Vertex i is bit i.  Letters coloring no vertex are accepted here (they
-    must then be absent from the word); the solvers refuse them through
-    require_used_letters.
+    Letters coloring no vertex are accepted here (they must then be absent
+    from the word); the solvers refuse them through require_used_letters.
     """
 
     def __init__(self, graph: Graph, coloring: Coloring, word: Sequence[str]):
-        self.masks = color_masks(graph, coloring)
+        super().__init__(graph, coloring)
         if len(word) != graph.n:
             raise MalformedInstanceError("word length differs from the vertex count")
         counts = Counter(word)
@@ -85,9 +81,6 @@ class DecoderInstance:
                     f"letter {a!r} appears {counts[a]} times but colors {mask.bit_count()} vertices"
                 )
         self.word: Word = tuple(word)
-        self.letters = sorted(coloring.alphabet)
-        self.adj = graph.adjacency_masks()
-        self.class_members = {a: members(mask) for a, mask in self.masks.items()}
         self._whole = dict.fromkeys(self.letters, (1 << graph.n) - 1)
         self._projections: dict[frozenset[str], Word] = {}
 
@@ -156,15 +149,10 @@ class DecoderInstance:
         return next(((a, b) for a, b in self.one_sided()
                      if b not in self.blocks[a][0] and a not in self.blocks[b][0]), None)
 
-    def order(self, decoder: Iterable[DirectedPair]) -> Optional[list[int]]:
-        """The vertex indices in word order when the decoder, over alphabet
-        letters, realizes the whole instance, else None."""
-        return self._peels(self.word, self._whole, self._visible(self.letters, decoder))
-
-    def realizes_visible(self, visible: dict[str, int]) -> bool:
-        """Whether the whole instance is realized when each letter a sees
-        exactly the vertices of visible[a], a union of color classes."""
-        return self._peels(self.word, self._whole, visible) is not None
+    def peel(self, visible: dict[str, int]) -> Optional[list[int]]:
+        """The vertex indices in word order when letter a seeing exactly
+        visible[a], a union of classes, realizes the instance, else None."""
+        return self._peels(self.word, self._whole, visible)
 
     def realizes_block(self, center: str, partners: Sequence[str],
                        decoder: Iterable[DirectedPair]) -> bool:
@@ -180,15 +168,7 @@ class DecoderInstance:
             partner_mask |= self.masks[b]
         rows = dict.fromkeys(partners, self.masks[center])
         rows[center] = partner_mask
-        return self._peels(self.projection(rows), rows,
-                           self._visible(rows, decoder)) is not None
-
-    def _visible(self, letters: Iterable[str],
-                 decoder: Iterable[DirectedPair]) -> dict[str, int]:
-        visible = dict.fromkeys(letters, 0)
-        for a, b in decoder:
-            visible[a] |= self.masks[b]
-        return visible
+        return self._peels(self.projection(rows), rows, self.visible(decoder)) is not None
 
     def _peels(self, word: Sequence[str], rows: dict[str, int],
                visible: dict[str, int]) -> Optional[list[int]]:
@@ -244,11 +224,8 @@ def realize_decoder(graph: Graph, coloring: Coloring, word: Sequence[str],
     """
     inst = DecoderInstance(graph, coloring, word)
     d = checked_decoder(decoder, coloring.alphabet)
-    order = inst.order(d)
-    if order is None:
-        return None
-    mapping = {graph.vertices[v]: p for p, v in enumerate(order, 1)}
-    return Realization(coloring.alphabet, inst.word, tuple(sorted(d)), coloring, mapping)
+    order = inst.peel(inst.visible(d))
+    return None if order is None else inst.realization(order, d)
 
 
 def verify_decoder(graph: Graph, coloring: Coloring, word: Sequence[str],
@@ -272,15 +249,8 @@ def forced_pair_word(inst: DecoderInstance, a: str, b: str) -> Optional[Directed
         raise InternalConsistencyError("forced_pair_word needs a pair in some letter's block")
     if is_palindrome(inst.projection((a, b))):
         raise InternalConsistencyError("forced_pair_word needs a non-palindromic pair word")
-    ok_ab = inst.realizes_block(a, (b,), {(a, b)})
-    ok_ba = inst.realizes_block(a, (b,), {(b, a)})
-    if ok_ab and ok_ba:
-        raise InternalConsistencyError("both orientations fit a non-palindromic pair word")
-    if ok_ab:
-        return (a, b)
-    if ok_ba:
-        return (b, a)
-    return None
+    return _sole_fit(inst, a, (b,), (), ((a, b), (b, a)),
+                     "both orientations fit a non-palindromic pair word")
 
 
 def cascade_word(inst: DecoderInstance, a: str, b: str, c: str,
@@ -300,16 +270,19 @@ def cascade_word(inst: DecoderInstance, a: str, b: str, c: str,
     if a not in block or c not in palindromic:
         raise InternalConsistencyError(f"{a!r} and {c!r} must be in {b!r}'s block, "
                                        f"with w[{b}, {c}] a palindrome")
+    return _sole_fit(inst, b, (a, c), (premise,), ((b, c), (c, b)),
+                     "both cascade candidates fit the block")
 
-    ok_bc = inst.realizes_block(b, (a, c), {premise, (b, c)})
-    ok_cb = inst.realizes_block(b, (a, c), {premise, (c, b)})
-    if ok_bc and ok_cb:
-        raise InternalConsistencyError("both cascade candidates fit the block")
-    if ok_bc:
-        return (b, c)
-    if ok_cb:
-        return (c, b)
-    return None
+
+def _sole_fit(inst: DecoderInstance, center: str, partners: Sequence[str],
+              base: Sequence[DirectedPair], candidates: Sequence[DirectedPair],
+              clash: str) -> Optional[DirectedPair]:
+    """The one candidate that realizes the block together with the base
+    pairs, or None; more than one is an internal error."""
+    fits = [pair for pair in candidates if inst.realizes_block(center, partners, {*base, pair})]
+    if len(fits) > 1:
+        raise InternalConsistencyError(clash)
+    return fits[0] if fits else None
 
 
 def build_formula(graph: Graph, coloring: Coloring,
@@ -394,9 +367,10 @@ def _formula(inst: DecoderInstance) -> Optional[TwoSatFormula]:
     return formula
 
 
-def retrieve_decoder(graph: Graph, coloring: Coloring,
-                     word: Sequence[str]) -> Optional[Decoder]:
-    """A decoder realizing the graph from the word, or None if none exists."""
+def decoder_realization(graph: Graph, coloring: Coloring,
+                        word: Sequence[str]) -> Optional[Realization]:
+    """The realization of the graph by the word under a retrieved decoder,
+    or None if no decoder exists; its order is the final check's peel."""
     inst = DecoderInstance(graph, coloring, word)
     inst.require_used_letters()
     formula = _formula(inst)
@@ -409,7 +383,14 @@ def retrieve_decoder(graph: Graph, coloring: Coloring,
     for (a, b), kind in inst.pair_kinds.items():
         if kind is PairKind.FULL:
             chosen.update(((a, b), (b, a)))
-    decoder = frozenset(chosen)
-    if inst.order(decoder) is None:
+    order = inst.peel(inst.visible(chosen))
+    if order is None:
         raise InternalConsistencyError("assembled decoder failed verification")
-    return decoder
+    return inst.realization(order, chosen)
+
+
+def retrieve_decoder(graph: Graph, coloring: Coloring,
+                     word: Sequence[str]) -> Optional[Decoder]:
+    """A decoder realizing the graph from the word, or None if none exists."""
+    found = decoder_realization(graph, coloring, word)
+    return None if found is None else frozenset(found.decoder)

@@ -8,15 +8,17 @@ hard size guard and fails fast with SizeLimitError instead of running
 unbounded.
 
 The realization searches enumerate colorings up to letter renaming (first
-occurrence order is canonical) and decoders over the chosen letters, and
-delegate each (coloring, decoder) feasibility question to the word
-retriever.  Two sound prunings keep that tractable without touching
-completeness: self pairs aa are skipped when the letter colors fewer than
-two vertices (such pairs never produce an edge, so dropping them loses no
-realization), and candidates whose possible edge-count range cannot meet
-the target edge count are skipped (for a one-way pair the cross edges can
-be anything from none to all, for a two-way pair they are all present, so
-the bounds follow by counting).
+occurrence order is canonical) and decoders over the chosen letters.  Each
+coloring is indexed once as a word_retrieval.ColoredInstance; a decoder
+candidate is a mask over decoder slots, read straight into the visible
+masks the instance peels, and only the one that hits becomes a decoder.
+Two sound prunings keep that tractable without touching completeness: self
+pairs aa are skipped when the letter colors fewer than two vertices (such
+pairs never produce an edge, so dropping them loses no realization), and
+candidates whose possible edge-count range cannot meet the target edge
+count are skipped (for a one-way pair the cross edges can be anything from
+none to all, for a two-way pair they are all present, so the bounds follow
+by counting).
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from .decoder_retrieval import DecoderInstance, PairKind
 from .errors import MalformedInstanceError, SizeLimitError
 from .graphs import Coloring, Graph
 from .letters import Decoder, Realization, checked_decoder
-from .word_retrieval import retrieve_word
+from .word_retrieval import ColoredInstance
 
 ORACLE_LETTERS = "abcdef"
 MAX_ORACLE_VERTICES = 12
@@ -138,34 +140,40 @@ def _mask_decoder(slots: list[tuple[str, str]], mask: int, symmetric: bool) -> D
     return frozenset(pairs)
 
 
-def _scan_colorings(graph: Graph, k: int, rgs_list: list[tuple[int, ...]],
-                    base_index: int, symmetric: bool):
+def _scan_colorings(args):
     """(coloring index, realization) for the first coloring and decoder mask
     admitting a realization, scanning colorings in order and decoder masks
-    ascending; the realization is retrieve_word's."""
+    ascending; only the mask that hits becomes a decoder.  args holds the
+    graph, k, the colorings and the first one's index, and symmetric."""
+    graph, k, rgs_list, base_index, symmetric = args
     letters = ORACLE_LETTERS[:k]
     vertices = graph.vertices
     target = graph.edge_count
     for offset, rgs in enumerate(rgs_list):
         coloring = Coloring({vertices[i]: letters[rgs[i]] for i in range(len(vertices))},
                             tuple(letters))
+        inst = ColoredInstance(graph, coloring)
+        masks = inst.masks
         sizes = {a: len(group) for a, group in coloring.color_groups.items()}
         slots, caps, partner = _decoder_slots(letters, sizes, symmetric)
-        m = len(slots)
-        tables = _edge_bound_tables(caps, partner) if m <= 18 else None
-        for mask in range(1 << m):
-            if tables is not None:
-                if not tables[0][mask] <= target <= tables[1][mask]:
-                    continue
-            decoder = _mask_decoder(slots, mask, symmetric)
-            solution = retrieve_word(graph, coloring, decoder)
-            if solution is not None:
-                return base_index + offset, solution
+        tables = _edge_bound_tables(caps, partner) if len(slots) <= 18 else None
+        for mask in range(1 << len(slots)):
+            if tables is not None and not tables[0][mask] <= target <= tables[1][mask]:
+                continue
+            visible = dict.fromkeys(letters, 0)
+            bits = mask
+            while bits:
+                low = bits & -bits
+                a, b = slots[low.bit_length() - 1]
+                visible[a] |= masks[b]
+                if symmetric:
+                    visible[b] |= masks[a]
+                bits ^= low
+            order = inst.peel(visible)
+            if order is not None:
+                decoder = _mask_decoder(slots, mask, symmetric)
+                return base_index + offset, inst.realization(order, decoder)
     return None
-
-
-def _scan_chunk(args):
-    return _scan_colorings(*args)
 
 
 def _fan_out(worker, task, total: int, jobs: int, serial_below: int) -> list:
@@ -203,7 +211,7 @@ def _search_realization(graph: Graph, k_max: int, symmetric: bool,
                 f"level {k} would enumerate about {level} candidates "
                 f"(limit {MAX_LEVEL_CANDIDATES})")
         rgs_list = list(_surjective_colorings(n, k))
-        hits = _fan_out(_scan_chunk, lambda start, stop: (
+        hits = _fan_out(_scan_colorings, lambda start, stop: (
             graph, k, rgs_list[start:stop], start, symmetric), len(rgs_list), jobs, 2)
         hit = min((h for h in hits if h is not None), key=itemgetter(0), default=None)
         if hit is not None:
@@ -232,7 +240,7 @@ def _verify_mask_range(args):
     field = len(unions) - 1
     hits = []
     for mask in range(start, stop):
-        if inst.realizes_visible({a: unions[mask >> shift & field] for a, shift in fields}):
+        if inst.peel({a: unions[mask >> shift & field] for a, shift in fields}) is not None:
             hits.append(_mask_decoder(slots, mask, symmetric=False))
     return hits
 

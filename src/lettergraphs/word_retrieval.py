@@ -7,23 +7,21 @@ after u is forced, i.e. when
   * {u, v} is an edge but (chi(v), chi(u)) is not in D, or
   * {u, v} is not an edge but (chi(v), chi(u)) is in D.
 
-With vertex sets as bitmasks that is one XOR per vertex: the arcs into v
-come from N(v) XOR A(chi(v)), less v, where A(c) is the set of vertices
-whose letter x has (c, x) in D.  The arcs are never listed one by one.
-Instead the order is peeled: a vertex may go next when its predecessor row
-has no bit left in the set of vertices not yet placed.  Each blocked vertex
-watches one remaining predecessor, the highest-indexed one, and is tested
-again only when that predecessor is placed; it then either watches the
-next one or becomes ready.  This is the watched-literal idea of SAT
-solvers (Moskewicz et al., "Chaff", 2001) applied to Kahn's algorithm: a
-vertex becomes ready at the same step as under Kahn's in-degree counts, so
-with the ready vertices in one heap the order is the same.
-
 A linear order realizes G as the letter graph of its color word if and only
-if it is a topological order of H, so the instance is solvable exactly when
-H is acyclic, that is, when the peel places every vertex.  The answer is a
-letters.Realization: the peeled order, its color word, the decoder as a
-sorted tuple and the given coloring.
+if it is a topological order of H.  With vertex sets as bitmasks the arcs
+into v are one XOR, its blocked row: N(v) XOR visible(chi(v)), less v,
+where visible(a) is the set of vertices whose letter x has (a, x) in D.
+The arcs are never listed; the order is peeled instead.  A vertex may go
+next when its blocked row has no bit left among the vertices not yet
+placed, and each blocked vertex watches one remaining blocker, the
+highest-indexed one, to be tested again only when that one is placed.
+This is the watched-literal idea of SAT solvers (Moskewicz et al.,
+"Chaff", 2001) applied to Kahn's algorithm: with the ready vertices in one
+heap the order is the one Kahn's in-degree counts give.
+
+ColoredInstance indexes (G, chi) once and holds this rule for every
+solver: decoder retrieval subclasses it, and the brute-force lettericity
+scan builds one per coloring and peels every decoder candidate on it.
 """
 
 from __future__ import annotations
@@ -31,51 +29,70 @@ from __future__ import annotations
 import heapq
 from typing import Iterable, Optional, Sequence
 
-from .graphs import Coloring, Graph, color_masks
-from .letters import Decoder, Realization, checked_decoder
+from .graphs import Coloring, Graph, color_masks, members
+from .letters import Realization, checked_decoder
 
 
-def _predecessor_rows(graph: Graph, coloring: Coloring, decoder: Decoder) -> list[int]:
-    """Arc bitmask per vertex index; bit j of pred[i] means arc (j, i).
+class ColoredInstance:
+    """A graph and a total coloring indexed once by bitmasks: vertex i is
+    bit i, and a letter coloring no vertex has an empty class."""
 
-    after[c] holds the vertices whose letter x has (c, x) in D, so the arcs
-    into i come from its neighbors XOR after[chi(i)], less i itself.  The
-    decoder's letters must already be checked against the alphabet.
-    """
-    masks = color_masks(graph, coloring)
-    after = dict.fromkeys(coloring.alphabet, 0)
-    for c, x in decoder:
-        after[c] |= masks[x]
-    return [(row ^ after[coloring[v]]) & ~(1 << i)
-            for i, (v, row) in enumerate(zip(graph.vertices, graph.adjacency_masks()))]
+    def __init__(self, graph: Graph, coloring: Coloring):
+        self.masks = color_masks(graph, coloring)
+        self.graph = graph
+        self.coloring = coloring
+        self.letters = sorted(coloring.alphabet)
+        self.adj = graph.adjacency_masks()
+        self.colors = [coloring[v] for v in graph.vertices]
+        self.class_members = {a: members(mask) for a, mask in self.masks.items()}
 
+    def visible(self, decoder: Iterable[Sequence[str]]) -> dict[str, int]:
+        """Per letter a, the vertices whose letter x has (a, x) in the
+        decoder; its letters must be alphabet letters."""
+        visible = dict.fromkeys(self.letters, 0)
+        for a, b in decoder:
+            visible[a] |= self.masks[b]
+        return visible
 
-def _peel_order(pred: list[int]) -> Optional[list[int]]:
-    """Smallest-index-first topological order by watched blockers, or None on a cycle."""
-    n = len(pred)
-    remaining = (1 << n) - 1
-    watchers: list[list[int]] = [[] for _ in range(n)]
-    ready = []
-    for i, row in enumerate(pred):
-        if row:
-            watchers[row.bit_length() - 1].append(i)
-        else:
-            ready.append(i)
-    # ready is ascending, hence already a heap.
-    order = []
-    while ready:
-        i = heapq.heappop(ready)
-        order.append(i)
-        remaining ^= 1 << i
-        for j in watchers[i]:
-            blockers = pred[j] & remaining
-            if blockers:
-                watchers[blockers.bit_length() - 1].append(j)
+    def blocked_rows(self, visible: dict[str, int]) -> list[int]:
+        """Per vertex i, the other vertices at which its row and what its
+        letter sees differ; bit j of row i is the arc (j, i) of H."""
+        colors = self.colors
+        return [(row ^ visible[colors[i]]) & ~(1 << i) for i, row in enumerate(self.adj)]
+
+    def peel(self, visible: dict[str, int]) -> Optional[list[int]]:
+        """The vertex indices in a realizing order, smallest index first among
+        the ready ones, by watched blockers; None when H has a cycle."""
+        pred = self.blocked_rows(visible)
+        n = len(pred)
+        remaining = (1 << n) - 1
+        watchers: list[list[int]] = [[] for _ in range(n)]
+        ready = []
+        for i, row in enumerate(pred):
+            if row:
+                watchers[row.bit_length() - 1].append(i)
             else:
-                heapq.heappush(ready, j)
-    if len(order) != n:
-        return None
-    return order
+                ready.append(i)
+        # ready is ascending, hence already a heap.
+        order = []
+        while ready:
+            i = heapq.heappop(ready)
+            order.append(i)
+            remaining ^= 1 << i
+            for j in watchers[i]:
+                blockers = pred[j] & remaining
+                if blockers:
+                    watchers[blockers.bit_length() - 1].append(j)
+                else:
+                    heapq.heappush(ready, j)
+        return order if len(order) == n else None
+
+    def realization(self, order: Sequence[int], decoder: Iterable[Sequence[str]]) -> Realization:
+        """The realization placing the vertex indices of `order` in turn."""
+        vertices, colors = self.graph.vertices, self.colors
+        return Realization(self.coloring.alphabet, tuple(colors[i] for i in order),
+                           tuple(sorted(decoder)), self.coloring,
+                           {vertices[i]: p for p, i in enumerate(order, 1)})
 
 
 def retrieve_word(graph: Graph, coloring: Coloring,
@@ -86,10 +103,6 @@ def retrieve_word(graph: Graph, coloring: Coloring,
     the smallest vertex index wins whenever several vertices are ready.
     """
     d = checked_decoder(decoder, coloring.alphabet)
-    order = _peel_order(_predecessor_rows(graph, coloring, d))
-    if order is None:
-        return None
-    permutation = [graph.vertices[i] for i in order]
-    return Realization(coloring.alphabet, tuple(coloring[v] for v in permutation),
-                       tuple(sorted(d)), coloring,
-                       {v: p for p, v in enumerate(permutation, 1)})
+    inst = ColoredInstance(graph, coloring)
+    order = inst.peel(inst.visible(d))
+    return None if order is None else inst.realization(order, d)

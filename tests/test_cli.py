@@ -247,7 +247,7 @@ def swapped(found):
 
 @pytest.mark.parametrize("argv,solver", [
     (["retrieve-word"], "retrieve_word"),
-    (["retrieve-decoder"], "realize_decoder"),
+    (["retrieve-decoder"], "decoder_realization"),
     (["retrieve-decoder", "--all"], "realize_decoder"),
     (["retrieve-coloring"], "isomorphic_coloring"),
     (["verify"], "realize_decoder"),

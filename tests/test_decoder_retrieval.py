@@ -121,7 +121,7 @@ def test_peel_kernel_matches_row_comparison_scan():
         whole = dict.fromkeys(letters, (1 << n) - 1)
         for decoder in (generating, *(frozenset(p for p in pairs if rng.random() < 0.5)
                                       for _ in range(3))):
-            got = inst.order(decoder) is not None
+            got = inst.peel(inst.visible(decoder)) is not None
             assert got == row_comparison_scan(masks, adj, word, whole, decoder)
             outcomes["whole", got] += 1
 

@@ -3,8 +3,9 @@ from hypothesis import given, settings, strategies as st
 
 from lettergraphs import (Coloring, Graph, InternalConsistencyError,
                           MalformedInstanceError, brute_lettericity, decode,
-                          isomorphic_coloring, normalize_decoder, realize_decoder,
-                          retrieve_word, symmetric_witness)
+                          decoder_realization, isomorphic_coloring,
+                          normalize_decoder, realize_decoder, retrieve_word,
+                          symmetric_witness)
 from lettergraphs.letters import (as_word, check_realization, count_runs,
                                   decoder_letters, is_palindrome,
                                   is_symmetric_decoder, project_word)
@@ -229,6 +230,7 @@ class TestCheckRealizationPairs:
 PRODUCERS = {
     "retrieve_word": (lambda g, c, w, d: retrieve_word(g, c, d), 8, 4),
     "realize_decoder": (realize_decoder, 8, 4),
+    "decoder_realization": (lambda g, c, w, d: decoder_realization(g, c, w), 8, 4),
     "isomorphic_coloring": (lambda g, c, w, d: isomorphic_coloring(g, c.alphabet, d, w), 8, 4),
     "symmetric_witness": (lambda g, c, w, d: symmetric_witness(g), 8, 4),
     "brute_lettericity": (lambda g, c, w, d: brute_lettericity(g, len(c.alphabet)), 6, 3),

@@ -4,16 +4,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lettergraphs import (Coloring, Graph, MalformedInstanceError,
-                          SizeLimitError, brute_isomorphism,
+                          Realization, SizeLimitError, brute_isomorphism,
                           brute_lettericity, brute_symmetric_lettericity,
                           characterization_check, decode, enumerate_decoders,
                           verify_decoder)
 from lettergraphs import oracles
 from lettergraphs.decoder_retrieval import DecoderInstance, build_formula
-from lettergraphs.oracles import (_decoder_slots, _edge_bound_tables,
-                                  _mask_decoder, _stirling2,
-                                  _surjective_colorings,
+from lettergraphs.oracles import (ORACLE_LETTERS, _decoder_slots,
+                                  _edge_bound_tables, _mask_decoder,
+                                  _stirling2, _surjective_colorings,
                                   brute_word_realization)
+from lettergraphs.word_retrieval import retrieve_word
 from instances import (bijection_verifies, forced_instance, random_graph,
                        random_realizable, realization_exists)
 
@@ -137,6 +138,60 @@ class TestBruteLettericity:
         serial = brute_lettericity(g, 3, jobs=1)
         parallel = brute_lettericity(g, 3, jobs=3)
         assert serial == parallel
+
+
+def per_candidate_scan(graph, k_max, symmetric):
+    """The realization search as one retrieve_word call per candidate:
+    levels ascending, colorings in order, decoder masks ascending, the
+    edge-count bounds applied, and the first realization found wins."""
+    if graph.n == 0:
+        return Realization((), (), (), Coloring({}, ()), {})
+    for k in range(1, min(k_max, graph.n) + 1):
+        letters = ORACLE_LETTERS[:k]
+        for rgs in _surjective_colorings(graph.n, k):
+            coloring = Coloring({v: letters[rgs[i]] for i, v in enumerate(graph.vertices)},
+                                tuple(letters))
+            sizes = {a: len(group) for a, group in coloring.color_groups.items()}
+            slots, caps, partner = _decoder_slots(letters, sizes, symmetric)
+            low, high = _edge_bound_tables(caps, partner)
+            for mask in range(1 << len(slots)):
+                if low[mask] <= graph.edge_count <= high[mask]:
+                    found = retrieve_word(graph, coloring, _mask_decoder(slots, mask, symmetric))
+                    if found is not None:
+                        return found
+    return None
+
+
+def labeled_graphs(n):
+    names = [f"v{i}" for i in range(n)]
+    pairs = list(itertools.combinations(names, 2))
+    for bits in range(1 << len(pairs)):
+        yield Graph(names, list(itertools.compress(pairs, (bits >> i & 1 for i in range(len(pairs))))))
+
+
+class TestScanMatchesPerCandidateSearch:
+    """The scan peels one indexed instance per coloring; its answer must be
+    the per-candidate search's, realization for realization."""
+
+    @pytest.mark.parametrize("symmetric", [False, True], ids=["plain", "symmetric"])
+    def test_every_labeled_graph_up_to_five_vertices(self, symmetric):
+        search = brute_symmetric_lettericity if symmetric else brute_lettericity
+        for n in range(6):
+            for graph in labeled_graphs(n):
+                assert search(graph, 5) == per_candidate_scan(graph, 5, symmetric)
+
+    @pytest.mark.parametrize("symmetric", [False, True], ids=["plain", "symmetric"])
+    def test_seeded_random_graphs_of_six_and_seven_vertices(self, symmetric):
+        import random
+        search = brute_symmetric_lettericity if symmetric else brute_lettericity
+        found = 0
+        for seed in range(12):
+            rng = random.Random(seed)
+            graph = random_graph(rng, rng.randint(6, 7), rng.random())
+            expected = per_candidate_scan(graph, 3, symmetric)
+            assert search(graph, 3) == expected
+            found += expected is not None
+        assert found >= 4
 
 
 def random_graph_fixture(n, seed=1):

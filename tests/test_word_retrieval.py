@@ -8,14 +8,19 @@ from lettergraphs import (Coloring, Graph, MalformedInstanceError, decode,
                           retrieve_word)
 from lettergraphs.cli import _flip_pair, _gen_parts
 from lettergraphs.graphs import members
-from lettergraphs.word_retrieval import _predecessor_rows
+from lettergraphs.word_retrieval import ColoredInstance
 from instances import (banane_instance, random_graph, random_realizable,
                        realization_exists)
 
 
+def blocked_rows(graph, coloring, decoder):
+    inst = ColoredInstance(graph, coloring)
+    return inst.blocked_rows(inst.visible(decoder))
+
+
 def named_arcs(graph, coloring, decoder):
-    """The precedence digraph's arcs (u, v), read off the predecessor rows."""
-    pred = _predecessor_rows(graph, coloring, decoder)
+    """The precedence digraph's arcs (u, v), read off the blocked rows."""
+    pred = blocked_rows(graph, coloring, decoder)
     return {(graph.vertices[j], graph.vertices[i])
             for i, row in enumerate(pred) for j in members(row)}
 
@@ -85,7 +90,7 @@ def test_topological_order_detects_cycles():
     graph = Graph(["x", "y"])
     coloring = Coloring({"x": "a", "y": "b"}, ("a", "b"))
     decoder = [("a", "b"), ("b", "a")]
-    assert _predecessor_rows(graph, coloring, decoder) == [0b10, 0b01]
+    assert blocked_rows(graph, coloring, decoder) == [0b10, 0b01]
     assert retrieve_word(graph, coloring, decoder) is None
 
 
@@ -152,7 +157,7 @@ def test_predecessor_rows_match_the_pairwise_rule(n, k, rng):
     succ = pairwise_successor_masks(graph, coloring, decoder)
     transpose = [sum(1 << j for j in range(graph.n) if succ[j] >> i & 1)
                  for i in range(graph.n)]
-    assert _predecessor_rows(graph, coloring, decoder) == transpose
+    assert blocked_rows(graph, coloring, decoder) == transpose
 
 
 def kahn_order(succ):
