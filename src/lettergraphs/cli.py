@@ -32,6 +32,7 @@ import string
 import sys
 import time
 import traceback
+from operator import itemgetter
 from typing import Callable, Optional, Sequence
 
 from .coloring_retrieval import isomorphic_coloring
@@ -196,13 +197,16 @@ def _gen_parts(rng: random.Random, n: int, k: int):
     for letter, i in zip(letters, rng.sample(range(n), k)):
         word[i] = letter
     decoder = frozenset((a, b) for a in letters for b in letters if rng.random() < 0.5)
-    colored = decode(decoder, word, letters)
+    rows = decode(decoder, word, letters).graph.adjacency_masks()
     order = rng.sample(range(n), n)
     names = tuple(f"v{j + 1}" for j in range(n))
-    declared = {order[j] + 1: j for j in range(n)}
-    edges = [(names[declared[int(u)]], names[declared[int(v)]])
-             for u, v in colored.graph.edge_list()]
-    graph = Graph(names, edges)
+    # Vertex j is position order[j], so bit j' of its row is bit order[j'] of
+    # that position's row: picking those characters of the position row's
+    # bits, lowest first, in reverse order of j' spells the row highest first.
+    pick = itemgetter(*reversed(order))
+    top = 1 << n
+    graph = Graph.from_rows(names, [int("".join(pick(bin(rows[p] | top)[:2:-1])), 2)
+                                    for p in order])
     assignment = {names[j]: word[order[j]] for j in range(n)}
     return graph, letters, Coloring(assignment, letters), tuple(word), decoder
 

@@ -16,12 +16,13 @@ respecting chi:
 
 Everything runs on one DecoderInstance, built and validated once per call:
 word_retrieval.ColoredInstance's index of the colored graph (adjacency
-rows, class masks and members, visible masks, the Realization of a peeled
-order) plus the word, its projections (cached per letter set), the pair
-table (every letter pair full, empty or one-sided, by one edge count) and
-the block table (per letter, its one-sided partners whose projection has
-at least two of its runs, and the palindromic ones among them).  A block
-check masks the instance's rows instead of building a smaller graph.
+rows, class masks, visible masks, the Realization of a peeled order) plus
+each class's members, the word, its projections (cached per letter set),
+the pair table (every letter pair full, empty or one-sided, by one edge
+count) and the block table (per letter, its one-sided partners whose
+projection has at least two of its runs, and the palindromic ones among
+them).  A block check masks the instance's rows instead of building a
+smaller graph.
 
 Every check, from the forced pairs to the final verify and the decoder
 enumeration, is one greedy peel along the (projected) word that reads the
@@ -38,7 +39,7 @@ from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
 from .errors import InternalConsistencyError, MalformedInstanceError
-from .graphs import Coloring, Graph
+from .graphs import Coloring, Graph, members
 from .letters import (
     Decoder,
     Realization,
@@ -88,6 +89,11 @@ class DecoderInstance(ColoredInstance):
         for a, mask in self.masks.items():
             if not mask:
                 raise MalformedInstanceError(f"letter {a!r} colors no vertex")
+
+    @cached_property
+    def class_members(self) -> dict[str, list[int]]:
+        """Per letter, the vertex indices of its class, ascending."""
+        return {a: members(mask) for a, mask in self.masks.items()}
 
     @cached_property
     def pair_kinds(self) -> dict[tuple[str, str], PairKind]:

@@ -10,8 +10,16 @@ decoder with ii for cliques of at least two vertices and ij, ji for fully
 joined classes.
 
 The twin quotient (one vertex per class, an edge per fully joined class
-pair) is kept as neighbor lists, so it costs O(classes + quotient edges)
-rather than a table over all class pairs.
+pair) is kept as neighbor lists.  Building it costs a constant number of
+n-bit operations per vertex (keying, and checking each member against its
+block's first member) and one graphs.select expansion per class, which is
+C-level work over the row's bits plus a Python step per set bit only for
+sparse rows; no Python step is taken per quotient edge.  Joins need no
+test of their own: once every member of a block B has B's outside row, a
+vertex c outside B is adjacent to all of B or to none of it, and since rows
+are symmetric every member of c's block then has the same relation to B.
+So B and C are fully joined exactly when C's first member is in B's outside
+row, and otherwise have no edge between them.
 """
 
 from __future__ import annotations
@@ -21,7 +29,7 @@ from dataclasses import dataclass
 from itertools import repeat
 
 from .errors import InternalConsistencyError
-from .graphs import Coloring, Graph
+from .graphs import Coloring, Graph, select
 from .letters import Realization
 
 
@@ -49,8 +57,12 @@ def twin_partition(graph: Graph) -> TwinPartition:
     exactly the twin classes.  The grouping is then checked rather than
     assumed, with a linear number of bitmask operations: each member's row
     against its block's first member outside the block and against the
-    clique or independent pattern inside it, and each pair of blocks with an
-    edge between them once, on one representative row.
+    clique or independent pattern inside it.  Block pairs are not tested:
+    after that check every member of a block B has B's outside row, so a
+    vertex c outside B sees all of B or none of it, and by symmetry every
+    member of c's block then sees all of B or none of it too.  Block B's
+    quotient neighbours are therefore the blocks whose first member lies in
+    B's outside row, read with one graphs.select call per block.
     """
     n = graph.n
     adj = graph.adjacency_masks()
@@ -59,49 +71,39 @@ def twin_partition(graph: Graph) -> TwinPartition:
     for i, row in enumerate(adj):
         groups.setdefault(row if shared[row] > 1 else row | 1 << i, []).append(i)
     blocks = list(groups.values())
-    masks = [sum(1 << i for i in block) for block in blocks]
 
     # Every member must agree with the block's first member outside the
     # block and be joined to all or none of the block inside it; together
     # that is exactly "pairwise generalized twins, clique or independent".
+    # A singleton passes both tests, since rows have no self-loops.
     kinds = []
-    for block, mask in zip(blocks, masks):
-        first = block[0]
-        outside = adj[first] & ~mask
-        clique = len(block) >= 2 and adj[first] & mask == mask ^ 1 << first
-        for i in block:
-            if adj[i] & ~mask != outside:
-                raise InternalConsistencyError("grouped vertices are not generalized twins")
-            if adj[i] & mask != (mask ^ 1 << i if clique else 0):
-                raise InternalConsistencyError("twin class is neither clique nor independent")
-        kinds.append("clique" if clique else "independent")
-
-    # Members share their outside rows, so one representative row decides
-    # each block pair; pairs with no edge at all need no test.  The lowest
-    # bit left in the row is always the first member of its block, so every
-    # neighbor list is filled in ascending order.
+    outsides = []
+    firsts = 0
     block_of = [0] * n
     for k, block in enumerate(blocks):
-        for i in block:
-            block_of[i] = k
-    joined: list[list[int]] = [[] for _ in blocks]
-    later = (1 << n) - 1
-    for k, block in enumerate(blocks):
-        later ^= masks[k]
-        row = adj[block[0]] & later
-        while row:
-            m = block_of[(row & -row).bit_length() - 1]
-            if row & masks[m] != masks[m]:
-                raise InternalConsistencyError("twin classes are not uniformly joined")
-            joined[k].append(m)
-            joined[m].append(k)
-            row ^= masks[m]
+        first = block[0]
+        firsts |= 1 << first
+        block_of[first] = k
+        clique = False
+        outside = adj[first]
+        if len(block) > 1:
+            mask = sum(1 << i for i in block)
+            outside &= ~mask
+            clique = adj[first] & mask == mask ^ 1 << first
+            for i in block:
+                if adj[i] & ~mask != outside:
+                    raise InternalConsistencyError("grouped vertices are not generalized twins")
+                if adj[i] & mask != (mask ^ 1 << i if clique else 0):
+                    raise InternalConsistencyError("twin class is neither clique nor independent")
+        kinds.append("clique" if clique else "independent")
+        outsides.append(outside)
 
+    # First members ascend with block ids, so each list comes out ascending.
     names = graph.vertices
     return TwinPartition(
-        blocks=tuple(tuple(names[i] for i in block) for block in blocks),
+        blocks=tuple(tuple(map(names.__getitem__, block)) for block in blocks),
         kinds=tuple(kinds),
-        adjacency=tuple(map(tuple, joined)),
+        adjacency=tuple(tuple(select(block_of, outside & firsts)) for outside in outsides),
     )
 
 

@@ -4,11 +4,21 @@ Vertex and letter labels are arbitrary non-empty text tokens without
 whitespace.  A graph keeps its vertices in declaration order and maps them
 to dense indices internally; adjacency is stored as one bitmask per vertex,
 which makes neighborhood comparisons single integer operations.
+
+A graph is built either from an edge list, one Python step per edge, or
+row-first with Graph.from_rows, whose checks (row count, bits in range,
+symmetry, no self-loops) are string operations over all n * n bits at once,
+so a caller that can compute rows never lists its edges.  Set bits are
+expanded the same way in reverse: a mask becomes a string of 0/1 bytes and
+itertools.compress picks the items at the set positions (select), so
+members, edge_list and the twin quotient take no Python step per bit;
+only a sparse mask is walked set bit by set bit instead.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, Optional, Sequence
+from itertools import compress, repeat
+from typing import Iterable, Mapping, Optional, Sequence, TypeVar
 
 from .errors import MalformedInstanceError
 
@@ -21,15 +31,35 @@ def check_token(token: object, what: str) -> str:
     return token
 
 
+SPARSE_STRIDE = 32
+
+_ZERO_ONE = bytes.maketrans(b"01", b"\x00\x01")
+
+T = TypeVar("T")
+
+
+def select(items: Sequence[T], mask: int) -> list[T]:
+    """items[i] for each set bit i of a non-negative mask, ascending; the mask
+    must have no bit at or beyond len(items).
+
+    A mask with fewer than one set bit per SPARSE_STRIDE bits of its length
+    is walked by its lowest set bit, a few integer operations per set bit.
+    Any other is spelled as one 0/1 byte per bit, lowest first, and picked
+    from with one itertools.compress: C-level work per bit.
+    """
+    if mask.bit_count() * SPARSE_STRIDE < mask.bit_length():
+        out = []
+        while mask:
+            low = mask & -mask
+            out.append(items[low.bit_length() - 1])
+            mask ^= low
+        return out
+    return list(compress(items, bin(mask)[:1:-1].encode().translate(_ZERO_ONE)))
+
+
 def members(mask: int) -> list[int]:
     """Indices of the set bits of a non-negative mask, ascending."""
-    bits = bin(mask)[:1:-1]
-    out = []
-    i = bits.find("1")
-    while i >= 0:
-        out.append(i)
-        i = bits.find("1", i + 1)
-    return out
+    return select(range(mask.bit_length()), mask)
 
 
 class Graph:
@@ -41,10 +71,7 @@ class Graph:
     __slots__ = ("vertices", "_index", "_adj", "_edge_count")
 
     def __init__(self, vertices: Iterable[str], edges: Iterable[Sequence[str]] = ()):
-        self.vertices = tuple(check_token(v, "vertex") for v in vertices)
-        self._index = {v: i for i, v in enumerate(self.vertices)}
-        if len(self._index) != len(self.vertices):
-            raise MalformedInstanceError("duplicate vertex label")
+        self._set_vertices(vertices)
         # One '0'/'1' byte per vertex pair (n * n bytes while building),
         # converted to an int once per row: setting bits of a growing int
         # edge by edge copies the row's int once per edge.
@@ -60,8 +87,55 @@ class Graph:
                 rows[i][j] = rows[j][i] = 49  # ord("1")
         except KeyError as exc:
             raise MalformedInstanceError(f"unknown vertex {exc.args[0]!r}") from None
-        self._adj = [int(row[::-1], 2) for row in rows]
-        self._edge_count = sum(map(int.bit_count, self._adj)) // 2
+        self._set_rows([int(row[::-1], 2) for row in rows])
+
+    @classmethod
+    def from_rows(cls, vertices: Iterable[str], rows: Iterable[int]) -> "Graph":
+        """The graph whose vertex i has the open neighborhood bitmask rows[i].
+
+        Rows must be non-negative ints below 2**n, symmetric (bit j of row i
+        equals bit i of row j) and free of self-loops (bit i of row i clear).
+        The rows' bits are laid out once as one string of n * n characters,
+        row after row, lowest bit first; then column j is the slice
+        flat[j::n], which must equal row j, and the diagonal flat[::n + 1]
+        must hold no "1".  Each check is a C-level string operation, so no
+        Python step is taken per edge or per vertex pair.
+        """
+        graph = cls.__new__(cls)
+        graph._set_vertices(vertices)
+        names = graph.vertices
+        n = len(names)
+        rows = list(rows)
+        if len(rows) != n:
+            raise MalformedInstanceError(f"{len(rows)} adjacency rows for {n} vertices")
+        if rows and (min(rows) < 0 or max(rows) >> n):
+            i = next(i for i, row in enumerate(rows) if row < 0 or row >> n)
+            raise MalformedInstanceError(f"adjacency row of {names[i]!r} has bits outside 0..{n - 1}")
+        top = 1 << n
+        # bin(row | top) is "0b1" and then row's n bits, highest first.
+        flat = "".join([bin(row | top)[:2:-1] for row in rows])
+        loop = flat[::n + 1].find("1")
+        if loop >= 0:
+            raise MalformedInstanceError(f"self-loop at {names[loop]!r}")
+        for j in range(n):
+            column = flat[j::n]
+            row = flat[j * n:(j + 1) * n]
+            if column != row:
+                i = next(i for i in range(n) if column[i] != row[i])
+                raise MalformedInstanceError(
+                    f"adjacency rows disagree on the pair {names[min(i, j)]!r},{names[max(i, j)]!r}")
+        graph._set_rows(rows)
+        return graph
+
+    def _set_vertices(self, vertices: Iterable[str]) -> None:
+        self.vertices = tuple(check_token(v, "vertex") for v in vertices)
+        self._index = {v: i for i, v in enumerate(self.vertices)}
+        if len(self._index) != len(self.vertices):
+            raise MalformedInstanceError("duplicate vertex label")
+
+    def _set_rows(self, rows: list[int]) -> None:
+        self._adj = rows
+        self._edge_count = sum(map(int.bit_count, rows)) // 2
 
     def __len__(self) -> int:
         return len(self.vertices)
@@ -95,17 +169,17 @@ class Graph:
         return list(self._adj)
 
     def neighbors(self, v: str) -> tuple[str, ...]:
-        return tuple(self.vertices[i] for i in members(self.neighbor_mask(v)))
+        return tuple(select(self.vertices, self.neighbor_mask(v)))
 
     def degree(self, v: str) -> int:
         return self.neighbor_mask(v).bit_count()
 
     def edge_list(self) -> tuple[tuple[str, str], ...]:
         """All edges as (u, v) pairs ordered by vertex indices, u before v."""
+        names = self.vertices
         out = []
-        for i, u in enumerate(self.vertices):
-            later = self.vertices[i + 1:]
-            out.extend((u, later[j]) for j in members(self._adj[i] >> i + 1))
+        for i, row in enumerate(self._adj):
+            out.extend(zip(repeat(names[i]), select(names, row >> i + 1 << i + 1)))
         return tuple(out)
 
     def __eq__(self, other: object) -> bool:

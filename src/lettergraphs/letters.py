@@ -106,18 +106,23 @@ def decode(decoder: Iterable[Sequence[str]], word: Sequence[str],
         if stray:
             raise MalformedInstanceError(f"letters outside the alphabet: {sorted(stray)}")
 
-    positions = [str(i + 1) for i in range(len(w))]
-    by_letter: dict[str, list[int]] = {}
+    # Position i's row is its later positions whose letter b has (w_i, b) in
+    # D, from a table keyed by first letter, and its earlier positions whose
+    # letter a has (a, w_i) in D, from a table keyed by second letter.
+    # Graph.from_rows checks that the two halves agree.
+    at: dict[str, int] = {}
     for i, c in enumerate(w):
-        by_letter.setdefault(c, []).append(i)
-    edges = []
+        at[c] = at.get(c, 0) | 1 << i
+    later: dict[str, int] = {}
+    earlier: dict[str, int] = {}
     for a, b in d:
-        for i in by_letter.get(a, ()):
-            for j in by_letter.get(b, ()):
-                if i < j:
-                    edges.append((positions[i], positions[j]))
-    graph = Graph(positions, edges)
-    coloring = Coloring({positions[i]: w[i] for i in range(len(w))}, alphabet)
+        later[a] = later.get(a, 0) | at.get(b, 0)
+        earlier[b] = earlier.get(b, 0) | at.get(a, 0)
+    rows = [(later.get(c, 0) >> i + 1 << i + 1) | (earlier.get(c, 0) & (1 << i) - 1)
+            for i, c in enumerate(w)]
+    positions = [str(i + 1) for i in range(len(w))]
+    graph = Graph.from_rows(positions, rows)
+    coloring = Coloring(dict(zip(positions, w)), alphabet)
     return ColoredGraph(graph, coloring)
 
 

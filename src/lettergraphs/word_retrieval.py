@@ -29,7 +29,7 @@ from __future__ import annotations
 import heapq
 from typing import Iterable, Optional, Sequence
 
-from .graphs import Coloring, Graph, color_masks, members
+from .graphs import Coloring, Graph, color_masks
 from .letters import Realization, checked_decoder
 
 
@@ -44,7 +44,6 @@ class ColoredInstance:
         self.letters = sorted(coloring.alphabet)
         self.adj = graph.adjacency_masks()
         self.colors = [coloring[v] for v in graph.vertices]
-        self.class_members = {a: members(mask) for a, mask in self.masks.items()}
 
     def visible(self, decoder: Iterable[Sequence[str]]) -> dict[str, int]:
         """Per letter a, the vertices whose letter x has (a, x) in the

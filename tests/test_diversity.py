@@ -1,7 +1,10 @@
+from collections import Counter
+
 from hypothesis import given, settings, strategies as st
 
 from lettergraphs import (Graph, decode, neighborhood_diversity,
                           symmetric_witness, twin_partition, verify_decoder)
+from lettergraphs.diversity import TwinPartition
 from lettergraphs.graphs import are_generalized_twins
 from lettergraphs.letters import check_realization, is_symmetric_decoder
 from instances import random_graph
@@ -156,3 +159,69 @@ def test_twin_blocks_are_maximal(n, rng):
         joined = tuple(m for m, other in enumerate(partition.blocks)
                        if m != k and g.has_edge(block[0], other[0]))
         assert partition.adjacency[k] == joined
+
+
+def twin_partition_by_quotient_edges(graph):
+    """twin_partition with every member of every block checked, and each
+    pair of blocks with an edge between them tested for a full join, one
+    Python step per quotient edge."""
+    n = graph.n
+    adj = graph.adjacency_masks()
+    shared = Counter(adj)
+    groups = {}
+    for i, row in enumerate(adj):
+        groups.setdefault(row if shared[row] > 1 else row | 1 << i, []).append(i)
+    blocks = list(groups.values())
+    masks = [sum(1 << i for i in block) for block in blocks]
+    kinds = []
+    for block, mask in zip(blocks, masks):
+        first = block[0]
+        outside = adj[first] & ~mask
+        clique = len(block) >= 2 and adj[first] & mask == mask ^ 1 << first
+        for i in block:
+            assert adj[i] & ~mask == outside
+            assert adj[i] & mask == (mask ^ 1 << i if clique else 0)
+        kinds.append("clique" if clique else "independent")
+    block_of = [0] * n
+    for k, block in enumerate(blocks):
+        for i in block:
+            block_of[i] = k
+    joined = [[] for _ in blocks]
+    later = (1 << n) - 1
+    for k, block in enumerate(blocks):
+        later ^= masks[k]
+        row = adj[block[0]] & later
+        while row:
+            m = block_of[(row & -row).bit_length() - 1]
+            assert row & masks[m] == masks[m], "twin classes are not uniformly joined"
+            joined[k].append(m)
+            joined[m].append(k)
+            row ^= masks[m]
+    names = graph.vertices
+    return TwinPartition(
+        blocks=tuple(tuple(names[i] for i in block) for block in blocks),
+        kinds=tuple(kinds),
+        adjacency=tuple(map(tuple, joined)),
+    )
+
+
+def blow_up(rng, base, p):
+    """Each vertex of a random base graph becomes a clique or an independent
+    set of 1-4 vertices, joined to the blow-ups of its neighbours; the
+    vertices are declared in shuffled order."""
+    g = random_graph(rng, base, p)
+    parts = {u: [f"{u}.{i}" for i in range(rng.randint(1, 4))] for u in g.vertices}
+    edges = [(x, y) for u in g.vertices if rng.random() < 0.5
+             for i, x in enumerate(parts[u]) for y in parts[u][i + 1:]]
+    edges += [(x, y) for u, v in g.edge_list() for x in parts[u] for y in parts[v]]
+    vertices = [x for u in g.vertices for x in parts[u]]
+    rng.shuffle(vertices)
+    return Graph(vertices, edges)
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.integers(min_value=0, max_value=60), st.randoms(use_true_random=False),
+       st.sampled_from([0.0, 0.03, 0.1, 0.5, 0.9, 1.0]), st.booleans())
+def test_partition_matches_the_per_quotient_edge_join_loop(n, rng, p, twins):
+    g = blow_up(rng, n // 2, p) if twins else random_graph(rng, n, p)
+    assert twin_partition(g) == twin_partition_by_quotient_edges(g)

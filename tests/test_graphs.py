@@ -2,8 +2,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from lettergraphs import Coloring, Graph, MalformedInstanceError
-from lettergraphs.graphs import (are_generalized_twins, check_token,
-                                 color_masks, members)
+from lettergraphs.graphs import (SPARSE_STRIDE, are_generalized_twins,
+                                 check_token, color_masks, members, select)
 
 
 def test_vertices_keep_declaration_order():
@@ -205,3 +205,77 @@ def row_masks(draw):
                  row_masks()))
 def test_members_lists_the_set_bits_ascending(mask):
     assert members(mask) == [i for i in range(mask.bit_length()) if mask >> i & 1]
+
+
+def spread_mask(width, count):
+    """A mask of bit_length `width` with `count` set bits spread evenly."""
+    return sum(1 << (width - 1 - i * width // count) for i in range(count))
+
+
+@pytest.mark.parametrize("width", [SPARSE_STRIDE, 2 * SPARSE_STRIDE, 50 * SPARSE_STRIDE, 4000])
+def test_members_on_both_sides_of_the_sparse_switch(width):
+    # The switch is bit_count() * SPARSE_STRIDE < bit_length(): one bit
+    # fewer than `dense` set bits is walked bit by bit, `dense` is compressed.
+    dense = -(-width // SPARSE_STRIDE)
+    for count in {1, max(dense - 1, 1), dense, dense + 1, width // 2, width}:
+        mask = spread_mask(width, count)
+        assert mask.bit_length() == width and mask.bit_count() == count
+        expected = [i for i in range(width) if mask >> i & 1]
+        assert members(mask) == expected
+        names = [f"v{i}" for i in range(width + 3)]
+        assert select(names, mask) == [names[i] for i in expected]
+    assert members(0) == [] and select(["x"], 0) == []
+
+
+@given(graphs(max_n=12))
+def test_from_rows_equals_the_edge_list_graph(g):
+    built = Graph.from_rows(g.vertices, iter(g.adjacency_masks()))
+    assert built == g
+    assert built.edge_count == g.edge_count
+    assert built.edge_list() == g.edge_list()
+
+
+@given(graphs(max_n=10), st.data())
+def test_from_rows_names_an_asymmetric_pair(g, data):
+    if g.n < 2:
+        return
+    i, j = data.draw(st.lists(st.integers(0, g.n - 1), min_size=2, max_size=2, unique=True))
+    rows = g.adjacency_masks()
+    rows[i] ^= 1 << j
+    u, v = g.vertices[min(i, j)], g.vertices[max(i, j)]
+    with pytest.raises(MalformedInstanceError) as err:
+        Graph.from_rows(g.vertices, rows)
+    assert str(err.value) == f"adjacency rows disagree on the pair {u!r},{v!r}"
+
+
+@given(graphs(max_n=10), st.data())
+def test_from_rows_rejects_a_self_loop(g, data):
+    if g.n == 0:
+        return
+    i = data.draw(st.integers(0, g.n - 1))
+    rows = g.adjacency_masks()
+    rows[i] |= 1 << i
+    with pytest.raises(MalformedInstanceError) as err:
+        Graph.from_rows(g.vertices, rows)
+    assert str(err.value) == f"self-loop at {g.vertices[i]!r}"
+
+
+def test_from_rows_rejects_malformed_rows():
+    with pytest.raises(MalformedInstanceError, match="^1 adjacency rows for 2 vertices$"):
+        Graph.from_rows(["x", "y"], [0])
+    with pytest.raises(MalformedInstanceError, match="^3 adjacency rows for 2 vertices$"):
+        Graph.from_rows(["x", "y"], [0b10, 0b01, 0])
+    with pytest.raises(MalformedInstanceError, match="^adjacency row of 'y' has bits outside 0..1$"):
+        Graph.from_rows(["x", "y"], [0b10, 0b101])
+    with pytest.raises(MalformedInstanceError, match="^adjacency row of 'x' has bits outside 0..1$"):
+        Graph.from_rows(["x", "y"], [-1, 0])
+    with pytest.raises(MalformedInstanceError, match="^duplicate vertex label$"):
+        Graph.from_rows(["x", "x"], [0, 0])
+    with pytest.raises(MalformedInstanceError, match="^self-loop at 'x'$"):
+        Graph.from_rows(["x"], [1])
+    with pytest.raises(MalformedInstanceError, match="^adjacency rows disagree on the pair 'x','z'$"):
+        Graph.from_rows(["x", "y", "z"], [0b110, 0b001, 0b000])
+    with pytest.raises(MalformedInstanceError):
+        Graph.from_rows(["a b"], [0])
+    assert Graph.from_rows([], []) == Graph([])
+    assert Graph.from_rows(["x", "y"], [0b10, 0b01]).edge_list() == (("x", "y"),)

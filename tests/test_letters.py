@@ -1,3 +1,5 @@
+import string
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -108,6 +110,46 @@ def test_reversal_flips_decoding(word):
         for j in range(i + 1, n):
             assert g1.has_edge(str(i + 1), str(j + 1)) == \
                 g2.has_edge(str(n - j), str(n - i))
+
+
+def decode_by_pairs(decoder, word, alphabet=None):
+    """decode as one edge per position pair (i, j), i < j, whose letters
+    (w_i, w_j) are a decoder pair, fed to Graph as an edge list."""
+    d = set(decoder)
+    if alphabet is None:
+        alphabet = tuple(dict.fromkeys(list(word) + sorted({c for pair in d for c in pair})))
+    positions = [str(i + 1) for i in range(len(word))]
+    by_letter = {}
+    for i, c in enumerate(word):
+        by_letter.setdefault(c, []).append(i)
+    edges = [(positions[i], positions[j]) for a, b in d
+             for i in by_letter.get(a, ()) for j in by_letter.get(b, ()) if i < j]
+    return Graph(positions, edges), Coloring(dict(zip(positions, word)), alphabet)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(min_value=0, max_value=200), st.integers(min_value=1, max_value=26),
+       st.floats(min_value=0.0, max_value=1.0), st.randoms(use_true_random=False),
+       st.booleans())
+def test_decode_matches_the_per_pair_edge_list(n, k, p, rng, explicit):
+    # Letters beyond the k used in the word occur only in the decoder.
+    letters = string.ascii_lowercase
+    word = tuple(letters[rng.randrange(k)] for _ in range(n))
+    used = letters[:min(k + 3, 26)]
+    decoder = {(a, b) for a in used for b in used if rng.random() < p}
+    alphabet = tuple(used) if explicit else None
+    colored = decode(decoder, word, alphabet)
+    graph, coloring = decode_by_pairs(decoder, word, alphabet)
+    assert colored.graph == graph
+    assert colored.graph.edge_count == graph.edge_count
+    assert colored.coloring == coloring
+
+
+def test_decode_of_the_empty_word_matches_the_per_pair_edge_list():
+    for alphabet in (None, ("a", "b", "z")):
+        colored = decode([("a", "b"), ("z", "z")], (), alphabet)
+        assert (colored.graph, colored.coloring) == \
+            decode_by_pairs([("a", "b"), ("z", "z")], (), alphabet)
 
 
 class TestCheckRealization:
