@@ -102,7 +102,7 @@ def _cmd_retrieve_word(doc: InstanceDocument, args) -> tuple[dict, int]:
 
 
 def _cmd_retrieve_decoder(doc: InstanceDocument, args) -> tuple[dict, int]:
-    _require(doc, "alphabet", "coloring", "word")
+    _require(doc, "coloring", "word")
     if not args.all:
         found, ms = _timed(decoder_realization, doc.graph, doc.coloring, doc.word)
         return _answer(doc.graph, found, ms, lambda r: {"decoder": decoder_payload(r.decoder)})

@@ -16,24 +16,22 @@ respecting chi:
 
 Everything runs on one DecoderInstance, built and validated once per call:
 word_retrieval.ColoredInstance's index of the colored graph (adjacency
-rows, class masks, visible masks, the Realization of a peeled order) plus
-each class's members, the word, its projections (cached per letter set),
-the pair table (every letter pair full, empty or one-sided, by one edge
-count) and the block table (per letter, its one-sided partners whose
-projection has at least two of its runs, and the palindromic ones among
-them).  A block check masks the instance's rows instead of building a
-smaller graph.
+rows, class masks, visible masks, the watched-blocker peel, the
+Realization of a peeled order) plus the word, its projections (cached per
+letter set), the pair table (every letter pair full, empty or one-sided,
+by one edge count), the block table (per letter, its one-sided partners
+whose projection has at least two of its runs, and the palindromic ones
+among them) and, per center and partner, the cross graph's degrees and
+chain flag with the partner counts before each center position.
 
-Every check, from the forced pairs to the final verify and the decoder
-enumeration, is one greedy peel along the (projected) word that reads the
-decoder only as the classes each letter sees; see DecoderInstance._peels.
-The final verify's order is the answer: decoder_realization returns it as
-a Realization.
+The forced pairs, the cascades and the block loop check a block by
+counting degrees (DecoderInstance.realizes_block), never by peeling.  The
+final verify peels the whole instance along the word (ColoredInstance.peel
+with the word), and decoder_realization returns its order as a Realization.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from enum import Enum
 from functools import cached_property
 from typing import Iterable, Optional, Sequence
@@ -72,28 +70,25 @@ class DecoderInstance(ColoredInstance):
         super().__init__(graph, coloring)
         if len(word) != graph.n:
             raise MalformedInstanceError("word length differs from the vertex count")
-        counts = Counter(word)
-        stray = set(counts) - set(coloring.alphabet)
+        stray = set(word) - set(coloring.alphabet)
         if stray:
             raise MalformedInstanceError(f"word letters outside the alphabet: {sorted(stray)}")
-        for a, mask in self.masks.items():
-            if counts[a] != mask.bit_count():
-                raise MalformedInstanceError(
-                    f"letter {a!r} appears {counts[a]} times but colors {mask.bit_count()} vertices"
-                )
         self.word: Word = tuple(word)
-        self._whole = dict.fromkeys(self.letters, (1 << graph.n) - 1)
+        # Per letter, the bitmask of its word positions.
+        self.at = dict.fromkeys(self.letters, 0)
+        for i, c in enumerate(self.word):
+            self.at[c] |= 1 << i
+        for a, mask in self.masks.items():
+            if self.at[a].bit_count() != mask.bit_count():
+                raise MalformedInstanceError(f"letter {a!r} appears {self.at[a].bit_count()} times "
+                                             f"but colors {mask.bit_count()} vertices")
         self._projections: dict[frozenset[str], Word] = {}
+        self._crosses: dict[DirectedPair, tuple[list[int], bool, list[int]]] = {}
 
     def require_used_letters(self) -> None:
         for a, mask in self.masks.items():
             if not mask:
                 raise MalformedInstanceError(f"letter {a!r} colors no vertex")
-
-    @cached_property
-    def class_members(self) -> dict[str, list[int]]:
-        """Per letter, the vertex indices of its class, ascending."""
-        return {a: members(mask) for a, mask in self.masks.items()}
 
     @cached_property
     def pair_kinds(self) -> dict[tuple[str, str], PairKind]:
@@ -105,7 +100,7 @@ class DecoderInstance(ColoredInstance):
         """
         kinds = {}
         for i, a in enumerate(self.letters):
-            rows = [self.adj[v] for v in self.class_members[a]]
+            rows = [self.adj[v] for v in members(self.masks[a])]
             for b in self.letters[i:]:
                 mask_b = self.masks[b]
                 count = sum((row & mask_b).bit_count() for row in rows)
@@ -155,82 +150,74 @@ class DecoderInstance(ColoredInstance):
         return next(((a, b) for a, b in self.one_sided()
                      if b not in self.blocks[a][0] and a not in self.blocks[b][0]), None)
 
-    def peel(self, visible: dict[str, int]) -> Optional[list[int]]:
-        """The vertex indices in word order when letter a seeing exactly
-        visible[a], a union of classes, realizes the instance, else None."""
-        return self._peels(self.word, self._whole, visible)
+    def cross(self, center: str, partner: str) -> tuple[list[int], bool, list[int]]:
+        """The cross graph of distinct letters c and p, computed once: each c
+        vertex's degree into V_p, ascending by vertex, whether those
+        neighbourhoods nest (a chain graph), and per c position the p before it."""
+        key = (center, partner)
+        if key not in self._crosses:
+            mask, seen = self.masks[partner], self.at[partner]
+            rows = [self.adj[v] & mask for v in members(self.masks[center])]
+            nested = sorted(rows, key=int.bit_count)
+            chain = all(low & ~high == 0 for low, high in zip(nested, nested[1:]))
+            before = [(seen & (1 << i) - 1).bit_count() for i in members(self.at[center])]
+            self._crosses[key] = ([row.bit_count() for row in rows], chain, before)
+        return self._crosses[key]
 
     def realizes_block(self, center: str, partners: Sequence[str],
                        decoder: Iterable[DirectedPair]) -> bool:
-        """Whether the decoder realizes the block of center and partners.
+        """Whether the decoder, over the block's letters, realizes the block
+        of center c and partners: their vertices and only the edges between
+        V_c and the partners' classes.  Given c as its sole partner the block
+        is G[V_c], realized when V_c is a clique with cc in the decoder, or
+        independent with cc absent or |V_c| < 2.
 
-        The block has the letters' vertices and only the edges joining the
-        center's class to the partners' classes; the center given as its own
-        sole partner keeps the edges inside its class instead.  The decoder
-        may use only the block's letters.
+        Otherwise it is realized exactly when (i) no decoder pair but the cp
+        and pc, p a partner, joins two positions of the projected word; (ii)
+        each cross graph (c, p) is a chain graph (nested c neighbourhoods in
+        V_p), as in every letter graph; and (iii) the c vertices' degree
+        vectors into the partners equal, as a multiset, the vectors over the
+        word's c positions whose p entry counts the p positions after it if
+        cp is in the decoder plus those before it if pc is.  In a chain graph
+        a vertex of degree d sees exactly the d partner vertices of highest
+        degree, never splitting a tie, so matching V_c to the c positions by
+        equal vectors and each V_p to the p positions by degree rank realizes
+        the block, and every realization is such a matching.
         """
-        partner_mask = 0
-        for b in partners:
-            partner_mask |= self.masks[b]
-        rows = dict.fromkeys(partners, self.masks[center])
-        rows[center] = partner_mask
-        return self._peels(self.projection(rows), rows, self.visible(decoder)) is not None
-
-    def _peels(self, word: Sequence[str], rows: dict[str, int],
-               visible: dict[str, int]) -> Optional[list[int]]:
-        """Greedy peeling on the letters of `rows`: each letter's vertices
-        keep only their edges into rows[letter], and letter a sees exactly
-        the vertices of visible[a].  Returns the peeled vertex indices in
-        word order, or None when a word letter finds no eligible vertex.
-
-        Each word letter a takes the first vertex v of its queue with
-        blocked[v] & remaining == 0, where
-
-            blocked[v] = ((adj[v] & rows[a]) ^ visible[a]) & ~(1 << v),
-
-        so v is eligible exactly when its remaining kept neighborhood is the
-        rest of what a sees among the remaining vertices.  A letter's queue
-        of (v, blocked[v]) pairs, in ascending vertex order, is built when
-        the word first reaches the letter, so letters a failing peel never
-        reaches cost nothing; peeled vertices leave it.  Any two vertices
-        eligible at the same step are generalized twins, so taking the one
-        with the smallest index never loses a solution.
-        """
-        adj, class_members = self.adj, self.class_members
-        order = []
-        remaining = 0
-        for a in rows:
-            remaining |= self.masks[a]
-        queues: dict[str, list[tuple[int, int]]] = {}
-        for letter in word:
-            queue = queues.get(letter)
-            if queue is None:
-                kept, seen = rows[letter], visible[letter]
-                queue = queues[letter] = [(v, ((adj[v] & kept) ^ seen) & ~(1 << v))
-                                          for v in class_members[letter]]
-            for i, (v, blocked) in enumerate(queue):
-                if not blocked & remaining:
-                    remaining ^= 1 << v
-                    order.append(v)
-                    del queue[i]
-                    break
-            else:
-                return None
-        return order
+        d = set(decoder)
+        if center in partners:
+            wanted = PairKind.FULL if (center, center) in d else PairKind.EMPTY
+            return self.pair_kinds[center, center] is wanted or self.masks[center].bit_count() < 2
+        # (x, y) joins two positions when the first x, the lowest bit of
+        # at[x], lies below the last y (two x's when x = y).
+        letters, at = {center, *partners}, self.at
+        if any(x in letters and y in letters and (x == center) == (y == center)
+               and 0 < at[x] & -at[x] < at[y] for x, y in d):
+            return False
+        graph_side, word_side = [], []
+        for p in partners:
+            degrees, chain, before = self.cross(center, p)
+            if not chain:
+                return False
+            total = self.masks[p].bit_count()
+            after, ahead = (center, p) in d, (p, center) in d
+            graph_side.append(degrees)
+            word_side.append([after * (total - b) + ahead * b for b in before])
+        return sorted(zip(*graph_side)) == sorted(zip(*word_side))
 
 
 def realize_decoder(graph: Graph, coloring: Coloring, word: Sequence[str],
                     decoder: Iterable[Sequence[str]]) -> Optional[Realization]:
     """The realization of the graph by the word and decoder, or None.
 
-    Peels vertices greedily (see DecoderInstance._peels) after checking
+    Peels the vertices along the word (see ColoredInstance.peel) after checking
     that the word and decoder stay inside the alphabet and that each letter
     occurs as often as it colors vertices; each vertex's word position is
     its place in the peeled order.
     """
     inst = DecoderInstance(graph, coloring, word)
     d = checked_decoder(decoder, coloring.alphabet)
-    order = inst.peel(inst.visible(d))
+    order = inst.peel(inst.visible(d), inst.word)
     return None if order is None else inst.realization(order, d)
 
 
@@ -244,12 +231,10 @@ def forced_pair_word(inst: DecoderInstance, a: str, b: str) -> Optional[Directed
     """The one of ab / ba that realizes the pair's cross edges on its own,
     or None when neither does.
 
-    Checks the two singleton candidates {ab} and {ba} on the pair's block;
-    for a non-palindromic projection at most one can pass, and a
-    palindromic one is refused.  (An equivalent derivation strips matching
-    first and last runs off the projection until the orientation is
-    exposed; checking both candidates is simpler and just as fast at this
-    scale.)
+    Checks the two singleton candidates {ab} and {ba} on the pair's block
+    by degree counts; for a non-palindromic projection at most one can
+    pass, and a palindromic one is refused.  Stripping matching end runs
+    off the projection would expose the orientation too, at no gain.
     """
     if b not in inst.blocks[a][0] and a not in inst.blocks[b][0]:
         raise InternalConsistencyError("forced_pair_word needs a pair in some letter's block")
@@ -389,7 +374,7 @@ def decoder_realization(graph: Graph, coloring: Coloring,
     for (a, b), kind in inst.pair_kinds.items():
         if kind is PairKind.FULL:
             chosen.update(((a, b), (b, a)))
-    order = inst.peel(inst.visible(chosen))
+    order = inst.peel(inst.visible(chosen), inst.word)
     if order is None:
         raise InternalConsistencyError("assembled decoder failed verification")
     return inst.realization(order, chosen)

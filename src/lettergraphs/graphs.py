@@ -108,9 +108,10 @@ class Graph:
         rows = list(rows)
         if len(rows) != n:
             raise MalformedInstanceError(f"{len(rows)} adjacency rows for {n} vertices")
-        if rows and (min(rows) < 0 or max(rows) >> n):
-            i = next(i for i, row in enumerate(rows) if row < 0 or row >> n)
-            raise MalformedInstanceError(f"adjacency row of {names[i]!r} has bits outside 0..{n - 1}")
+        for name, row in zip(names, rows):
+            if not isinstance(row, int) or row < 0 or row >> n:
+                what = f"has bits outside 0..{n - 1}" if isinstance(row, int) else "is not an int"
+                raise MalformedInstanceError(f"adjacency row of {name!r} {what}")
         top = 1 << n
         # bin(row | top) is "0b1" and then row's n bits, highest first.
         flat = "".join([bin(row | top)[:2:-1] for row in rows])

@@ -29,7 +29,10 @@ def as_word(letters: Iterable[str]) -> Word:
 def normalize_decoder(pairs: Iterable[Sequence[str]]) -> Decoder:
     out = set()
     for pair in pairs:
-        a, b = pair
+        try:
+            a, b = pair
+        except (TypeError, ValueError):
+            raise MalformedInstanceError(f"decoder pair {pair!r} is not two letters") from None
         out.add((check_token(a, "letter"), check_token(b, "letter")))
     return frozenset(out)
 
@@ -40,7 +43,7 @@ def decoder_letters(decoder: Iterable[Sequence[str]]) -> set[str]:
 
 def checked_decoder(decoder: Iterable[Sequence[str]], alphabet: Iterable[str]) -> Decoder:
     """The decoder as a frozenset of pairs, refusing letters outside the alphabet."""
-    d = decoder if isinstance(decoder, frozenset) else normalize_decoder(decoder)
+    d = normalize_decoder(decoder)
     stray = decoder_letters(d) - set(alphabet)
     if stray:
         raise MalformedInstanceError(f"decoder letters outside the alphabet: {sorted(stray)}")

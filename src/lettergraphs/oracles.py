@@ -12,13 +12,14 @@ occurrence order is canonical) and decoders over the chosen letters.  Each
 coloring is indexed once as a word_retrieval.ColoredInstance; a decoder
 candidate is a mask over decoder slots, read straight into the visible
 masks the instance peels, and only the one that hits becomes a decoder.
-Two sound prunings keep that tractable without touching completeness: self
-pairs aa are skipped when the letter colors fewer than two vertices (such
-pairs never produce an edge, so dropping them loses no realization), and
-candidates whose possible edge-count range cannot meet the target edge
-count are skipped (for a one-way pair the cross edges can be anything from
-none to all, for a two-way pair they are all present, so the bounds follow
-by counting).
+Two sound prunings keep that complete: self pairs aa are skipped when the
+letter colors fewer than two vertices (they never produce an edge), and so
+are candidates whose possible edge-count range misses the target (a
+one-way pair gives none to all of its cross edges, a two-way pair all).
+
+The decoder enumeration peels, along the word, only the candidates whose
+letter graph has the graph's edge count; the block characterization checks
+blocks by degree counts (decoder_retrieval.DecoderInstance.realizes_block).
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from typing import Optional, Sequence
 
 from .decoder_retrieval import DecoderInstance, PairKind
 from .errors import MalformedInstanceError, SizeLimitError
-from .graphs import Coloring, Graph
+from .graphs import Coloring, Graph, members
 from .letters import Decoder, Realization, checked_decoder
 from .word_retrieval import ColoredInstance
 
@@ -235,29 +236,27 @@ def brute_symmetric_lettericity(graph: Graph, k_max: int,
     return _search_realization(graph, k_max, symmetric=True, jobs=jobs)
 
 
-def _verify_mask_range(args):
-    inst, slots, fields, unions, start, stop = args
-    field = len(unions) - 1
-    hits = []
-    for mask in range(start, stop):
-        if inst.peel({a: unions[mask >> shift & field] for a, shift in fields}) is not None:
-            hits.append(_mask_decoder(slots, mask, symmetric=False))
-    return hits
+def _verify_masks(args):
+    """The decoders of the masks that peel along the instance's word."""
+    inst, slots, masks = args
+    decoders = (_mask_decoder(slots, mask, symmetric=False) for mask in masks)
+    return [d for d in decoders if inst.peel(inst.visible(d), inst.word) is not None]
 
 
 def enumerate_decoders(graph: Graph, coloring: Coloring, word: Sequence[str],
                        jobs: int = 1) -> list[Decoder]:
     """All decoders over the alphabet that realize the graph from the word.
 
-    Checks every subset of the alphabet's ordered pairs with the verifier,
-    on one instance built up front; the alphabet may have at most 4 letters
-    (65536 candidates).  Bit i * k + j of a candidate mask stands for the
-    pair (letters[i], letters[j]) of the sorted alphabet, so field i, k bits
-    wide, selects the classes letters[i] sees, and one table of unions of
-    class masks turns each field into that letter's visible mask.  Only
-    masks that verify become frozensets.  Results come sorted by their
-    sorted pair tuples.  At most `jobs` worker processes, and never more
-    than the CPU count, share the scan.
+    Checks every subset of the alphabet's ordered pairs, on one instance
+    built up front; the alphabet may have at most 4 letters (65536
+    candidates).  Bit i * k + j of a candidate mask stands for the pair
+    (letters[i], letters[j]) of the sorted alphabet.  A decoder's letter
+    graph has one edge per pair (a, b) in it and positions i < j with
+    w_i = a and w_j = b, so a table doubled once per pair, the new half
+    adding that pair's count, gives each candidate's edge count; only those
+    with the graph's count become decoders and are peeled along the word.
+    Results come sorted by their sorted pair tuples.  At most `jobs` worker
+    processes, and never more than the CPU count, share the scan.
     """
     inst = DecoderInstance(graph, coloring, word)
     inst.require_used_letters()
@@ -267,14 +266,15 @@ def enumerate_decoders(graph: Graph, coloring: Coloring, word: Sequence[str],
             f"decoder enumeration handles at most {MAX_ENUMERATION_LETTERS} letters, got {k}")
     letters = sorted(coloring.alphabet)
     slots = [(a, b) for a in letters for b in letters]
-    fields = [(a, i * k) for i, a in enumerate(letters)]
-    unions = [0] * (1 << k)
-    for field in range(1, 1 << k):
-        low = field & -field
-        unions[field] = unions[field ^ low] | inst.masks[letters[low.bit_length() - 1]]
-    chunks = _fan_out(_verify_mask_range,
-                      lambda start, stop: (inst, slots, fields, unions, start, stop),
-                      1 << len(slots), jobs, 1 << 12)
+    at = inst.at
+    joined = [sum((at[a] & (1 << j) - 1).bit_count() for j in members(at[b])) for a, b in slots]
+    edges = [0]
+    for count in joined:
+        edges += [e + count for e in edges]
+    target = graph.edge_count
+    chunks = _fan_out(_verify_masks, lambda start, stop: (
+        inst, slots, [mask for mask in range(start, stop) if edges[mask] == target]),
+        len(edges), jobs, 1 << 12)
     return sorted((d for hits in chunks for d in hits), key=lambda d: tuple(sorted(d)))
 
 

@@ -19,9 +19,11 @@ This is the watched-literal idea of SAT solvers (Moskewicz et al.,
 "Chaff", 2001) applied to Kahn's algorithm: with the ready vertices in one
 heap the order is the one Kahn's in-degree counts give.
 
-ColoredInstance indexes (G, chi) once and holds this rule for every
-solver: decoder retrieval subclasses it, and the brute-force lettericity
-scan builds one per coloring and peels every decoder candidate on it.
+ColoredInstance indexes (G, chi) once and holds this rule and the
+package's only peel: retrieve_word peels by index, decoder retrieval (a
+subclass) peels along its word with one heap of ready vertices per letter,
+and the brute-force lettericity scan builds one instance per coloring and
+peels every decoder candidate on it.
 """
 
 from __future__ import annotations
@@ -59,23 +61,31 @@ class ColoredInstance:
         colors = self.colors
         return [(row ^ visible[colors[i]]) & ~(1 << i) for i, row in enumerate(self.adj)]
 
-    def peel(self, visible: dict[str, int]) -> Optional[list[int]]:
-        """The vertex indices in a realizing order, smallest index first among
-        the ready ones, by watched blockers; None when H has a cycle."""
+    def peel(self, visible: dict[str, int],
+             word: Optional[Sequence[str]] = None) -> Optional[list[int]]:
+        """The vertex indices in a realizing order, by watched blockers, or
+        None.  Without a word the smallest ready index goes next, and None
+        means H has a cycle.  Along a word the next letter takes its smallest
+        ready vertex, None when it has none: one letter's ready vertices are
+        generalized twins, so that choice never loses a realization."""
         pred = self.blocked_rows(visible)
         n = len(pred)
+        steps, group = (word, self.colors) if word is not None else ([None] * n,) * 2
         remaining = (1 << n) - 1
         watchers: list[list[int]] = [[] for _ in range(n)]
-        ready = []
+        ready: dict[Optional[str], list[int]] = {}
         for i, row in enumerate(pred):
             if row:
                 watchers[row.bit_length() - 1].append(i)
             else:
-                ready.append(i)
-        # ready is ascending, hence already a heap.
+                # Appended in ascending order, hence already a heap.
+                ready.setdefault(group[i], []).append(i)
         order = []
-        while ready:
-            i = heapq.heappop(ready)
+        for letter in steps:
+            heap = ready.get(letter)
+            if not heap:
+                return None
+            i = heapq.heappop(heap)
             order.append(i)
             remaining ^= 1 << i
             for j in watchers[i]:
@@ -83,8 +93,8 @@ class ColoredInstance:
                 if blockers:
                     watchers[blockers.bit_length() - 1].append(j)
                 else:
-                    heapq.heappush(ready, j)
-        return order if len(order) == n else None
+                    heapq.heappush(ready.setdefault(group[j], []), j)
+        return order
 
     def realization(self, order: Sequence[int], decoder: Iterable[Sequence[str]]) -> Realization:
         """The realization placing the vertex indices of `order` in turn."""

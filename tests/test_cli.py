@@ -76,6 +76,21 @@ def test_retrieve_decoder_and_all(banane_path, capsys):
     assert doc["count"] == len(doc["decoders"]) > 0
 
 
+def test_retrieve_decoder_needs_no_alphabet(banane_path, capsys, tmp_path):
+    # The solver takes its letters from the coloring, as retrieve-word does.
+    doc = json.loads(BANANE_DOC)
+    del doc["alphabet"]
+    path = tmp_path / "no_alphabet.json"
+    path.write_text(json.dumps(doc))
+    for flags in ([], ["--all", "--jobs", "1"]):
+        with_alphabet = run(capsys, ["retrieve-decoder", *flags, banane_path])
+        without = run(capsys, ["retrieve-decoder", *flags, str(path)])
+        assert with_alphabet[0] == without[0] == 0
+        with_alphabet[1].pop("timing_ms")
+        without[1].pop("timing_ms")
+        assert without == with_alphabet
+
+
 def test_retrieve_coloring(banane_path, capsys):
     code, doc = run(capsys, ["retrieve-coloring", banane_path])
     assert code == 0

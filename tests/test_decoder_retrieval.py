@@ -81,13 +81,14 @@ def row_comparison_scan(masks, adj, word, rows, decoder):
     replaced: at each word letter, try that letter's remaining vertices
     from the lowest index and take the first whose neighborhood, kept to
     rows[letter] and to the remaining vertices, is exactly the rest of the
-    classes the letter sees."""
+    classes the letter sees.  Returns the vertex indices taken, or None."""
     visible = dict.fromkeys(rows, 0)
     remaining = 0
     for a in rows:
         remaining |= masks[a]
     for a, b in decoder:
         visible[a] |= masks[b]
+    order = []
     for letter in word:
         allowed = visible[letter] & remaining
         kept = rows[letter] & remaining
@@ -97,11 +98,12 @@ def row_comparison_scan(masks, adj, word, rows, decoder):
             v = low.bit_length() - 1
             if adj[v] & kept == allowed & ~low:
                 remaining ^= low
+                order.append(v)
                 break
             candidates ^= low
         else:
-            return False
-    return True
+            return None
+    return order
 
 
 def test_peel_kernel_matches_row_comparison_scan():
@@ -121,9 +123,10 @@ def test_peel_kernel_matches_row_comparison_scan():
         whole = dict.fromkeys(letters, (1 << n) - 1)
         for decoder in (generating, *(frozenset(p for p in pairs if rng.random() < 0.5)
                                       for _ in range(3))):
-            got = inst.peel(inst.visible(decoder)) is not None
-            assert got == row_comparison_scan(masks, adj, word, whole, decoder)
-            outcomes["whole", got] += 1
+            # The order is pinned, not only whether one exists.
+            order = inst.peel(inst.visible(decoder), inst.word)
+            assert order == row_comparison_scan(masks, adj, word, whole, decoder)
+            outcomes["whole", order is not None] += 1
 
         center = rng.choice(letters)
         others = [b for b in letters if b != center]
@@ -139,7 +142,7 @@ def test_peel_kernel_matches_row_comparison_scan():
         for decoder in (generating & kept, *(frozenset(p for p in block_pairs if rng.random() < 0.5)
                                              for _ in range(3))):
             got = inst.realizes_block(center, partners, decoder)
-            assert got == row_comparison_scan(masks, adj, block_word, rows, decoder)
+            assert got == (row_comparison_scan(masks, adj, block_word, rows, decoder) is not None)
             outcomes["block", got] += 1
     # Both answers occur often at both levels, so the comparison has teeth.
     assert len(outcomes) == 4 and min(outcomes.values()) >= 200, outcomes
@@ -290,6 +293,20 @@ class TestPairMachinery:
         g = Graph(["a1", "a2", "b1", "b2"], [("a1", "b1"), ("a2", "b2")])
         c = Coloring({"a1": "a", "a2": "a", "b1": "b", "b2": "b"}, ("a", "b"))
         assert forced_pair_word(DecoderInstance(g, c, tuple("abab")), "a", "b") is None
+
+    def test_block_that_is_no_chain_graph_is_refused(self):
+        # a1 sees b1, b2 and a2 sees b3, b4: an induced 2K2, so no word
+        # realizes it, although both a vertices have degree 2 and under {ab}
+        # both a positions of bbaabb see the two b positions after them.
+        g = Graph(["a1", "a2", "b1", "b2", "b3", "b4"],
+                  [("a1", "b1"), ("a1", "b2"), ("a2", "b3"), ("a2", "b4")])
+        c = Coloring({"a1": "a", "a2": "a", "b1": "b", "b2": "b", "b3": "b", "b4": "b"},
+                     ("a", "b"))
+        inst = DecoderInstance(g, c, tuple("bbaabb"))
+        degrees, chain, before = inst.cross("a", "b")
+        assert sorted(degrees) == [2, 2] and not chain and before == [2, 2]
+        assert not inst.realizes_block("a", ("b",), {("a", "b")})
+        assert not verify_decoder(g, c, tuple("bbaabb"), {("a", "b")})
 
     def test_cascade_word_propagates_and_refutes(self):
         inst = DecoderInstance(*cascade_instance())

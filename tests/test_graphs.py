@@ -279,3 +279,9 @@ def test_from_rows_rejects_malformed_rows():
         Graph.from_rows(["a b"], [0])
     assert Graph.from_rows([], []) == Graph([])
     assert Graph.from_rows(["x", "y"], [0b10, 0b01]).edge_list() == (("x", "y"),)
+
+
+@pytest.mark.parametrize("row", [1.0, "1", None], ids=["float", "str", "none"])
+def test_from_rows_refuses_a_row_that_is_not_an_int(row):
+    with pytest.raises(MalformedInstanceError, match="^adjacency row of 'y' is not an int$"):
+        Graph.from_rows(["x", "y"], [0, row])

@@ -23,6 +23,18 @@ def test_normalize_decoder_dedups_and_checks_tokens():
         normalize_decoder([("a", "")])
 
 
+@pytest.mark.parametrize("pair", [("a",), ("a", "b", "c"), 7], ids=["1-tuple", "3-tuple", "int"])
+def test_a_pair_that_is_not_two_letters_is_malformed(pair):
+    g = Graph(["x"])
+    c = Coloring({"x": "a"}, ("a", "b"))
+    with pytest.raises(MalformedInstanceError, match="is not two letters"):
+        normalize_decoder([pair])
+    with pytest.raises(MalformedInstanceError, match="is not two letters"):
+        retrieve_word(g, c, [pair])
+    with pytest.raises(MalformedInstanceError, match="is not two letters"):
+        realize_decoder(g, c, ("a",), frozenset({pair}))
+
+
 def test_decoder_letters_and_symmetry():
     assert decoder_letters([("a", "b"), ("c", "c")]) == {"a", "b", "c"}
     assert is_symmetric_decoder([("a", "b"), ("b", "a"), ("c", "c")])

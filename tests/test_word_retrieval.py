@@ -85,6 +85,17 @@ def test_decoder_letters_must_stay_in_alphabet():
         retrieve_word(g, c, [("a", "z")])
 
 
+def test_a_frozenset_decoder_is_normalized_like_any_other():
+    # "ab" unpacks to the pair (a, b), in a frozenset as in a list.
+    g = Graph(["x", "y"], [("x", "y")])
+    c = Coloring({"x": "a", "y": "b"}, ("a", "b"))
+    solution = retrieve_word(g, c, frozenset({"ab"}))
+    assert solution.decoder == (("a", "b"),)
+    assert solution == retrieve_word(g, c, ["ab"])
+    with pytest.raises(MalformedInstanceError):
+        retrieve_word(g, c, frozenset({("a", "")}))
+
+
 def test_topological_order_detects_cycles():
     # ab and ba both present make every nonadjacent a-b pair a 2-cycle
     graph = Graph(["x", "y"])
