@@ -105,7 +105,7 @@ def _cmd_retrieve_decoder(doc: InstanceDocument, args) -> tuple[dict, int]:
     _require(doc, "coloring", "word")
     if not args.all:
         found, ms = _timed(decoder_realization, doc.graph, doc.coloring, doc.word)
-        return _answer(doc.graph, found, ms, lambda r: {"decoder": decoder_payload(r.decoder)})
+        return _answer(doc.graph, found, ms, lambda r: {"decoder": r.decoder})
     decoders, ms = _timed(enumerate_decoders, doc.graph, doc.coloring, doc.word, jobs=args.jobs)
     for d in decoders:
         # Checked as a single answer is; an enumerated decoder must peel.
@@ -154,7 +154,7 @@ def _witness_fields(vertices: Sequence[str], witness: Realization) -> dict:
         "value": witness.k,
         "alphabet": list(witness.alphabet),
         "word": list(witness.word),
-        "decoder": decoder_payload(witness.decoder),
+        "decoder": witness.decoder,
         "coloring": coloring_payload(witness.coloring, vertices),
     }
 
@@ -303,7 +303,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--all", action="store_true",
                    help="enumerate every decoder instead of returning one")
     p.add_argument("--jobs", type=_jobs, default=1,
-                   help="worker processes for the exhaustive enumeration (1 to the CPU count)")
+                   help="accepted for symmetry with lettericity (1 to the CPU count); "
+                        "the enumeration runs in one process")
     instance_command("retrieve-coloring", "find a coloring matching a decoder and word")
     instance_command("verify", "check whether a word realizes the graph under a decoder")
     instance_command("nd", "compute the neighborhood diversity and twin classes")

@@ -18,8 +18,8 @@ Everything runs on one DecoderInstance, built and validated once per call:
 word_retrieval.ColoredInstance's index of the colored graph (adjacency
 rows, class masks, visible masks, the watched-blocker peel, the
 Realization of a peeled order) plus the word, its projections (cached per
-letter set), the pair table (every letter pair full, empty or one-sided,
-by one edge count), the block table (per letter, its one-sided partners
+letter set), the pair edge counts and the pair table built on them (every
+letter pair full, empty or one-sided), the block table (per letter, its one-sided partners
 whose projection has at least two of its runs, and the palindromic ones
 among them) and, per center and partner, the cross graph's degrees and
 chain flag with the partner counts before each center position.
@@ -91,25 +91,36 @@ class DecoderInstance(ColoredInstance):
                 raise MalformedInstanceError(f"letter {a!r} colors no vertex")
 
     @cached_property
-    def pair_kinds(self) -> dict[tuple[str, str], PairKind]:
-        """Kind of every letter pair (a, b) with a <= b, in sorted order.
-
-        The edges counted between the classes are compared with all
-        |A| * (|B| - [a = b]) possible ones; counted from both ends, a
-        class's inner edges meet that capacity exactly when it is a clique.
-        """
-        kinds = {}
+    def pair_edges(self) -> dict[tuple[str, str], int]:
+        """Edge count of every letter pair (a, b) with a <= b, in sorted
+        order: the edges between the two classes, or inside the class when
+        a = b (counted from both ends there, then halved)."""
+        edges = {}
         for i, a in enumerate(self.letters):
             rows = [self.adj[v] for v in members(self.masks[a])]
             for b in self.letters[i:]:
                 mask_b = self.masks[b]
                 count = sum((row & mask_b).bit_count() for row in rows)
-                if count == 0:
-                    kinds[a, b] = PairKind.EMPTY
-                elif count == len(rows) * (mask_b.bit_count() - (a == b)):
-                    kinds[a, b] = PairKind.FULL
-                else:
-                    kinds[a, b] = PairKind.ONE_SIDED
+                edges[a, b] = count // 2 if a == b else count
+        return edges
+
+    @cached_property
+    def pair_kinds(self) -> dict[tuple[str, str], PairKind]:
+        """Kind of every letter pair (a, b) with a <= b, in sorted order.
+
+        A pair's edges are compared with all |A| * |B| possible ones, or
+        |A| * (|A| - 1) / 2 inside a class, which a clique meets exactly.
+        """
+        kinds = {}
+        for (a, b), count in self.pair_edges.items():
+            size = self.masks[a].bit_count()
+            capacity = size * (size - 1) // 2 if a == b else size * self.masks[b].bit_count()
+            if count == 0:
+                kinds[a, b] = PairKind.EMPTY
+            elif count == capacity:
+                kinds[a, b] = PairKind.FULL
+            else:
+                kinds[a, b] = PairKind.ONE_SIDED
         return kinds
 
     def one_sided(self) -> list[tuple[str, str]]:

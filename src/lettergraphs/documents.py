@@ -11,21 +11,28 @@ on canonical text.
 Canonical text is exactly ``json.dumps(value, indent=2, ensure_ascii=False)``
 plus a newline.  ``indent`` makes json fall back to its pure-Python encoder,
 so `dump_json` writes the same bytes itself: it recurses through dicts and
-lists, escapes strings with json's own C escaper
-(``json.encoder.encode_basestring``, the one ``ensure_ascii=False`` uses),
-and writes a list of strings, or of equal-length string rows such as edges
-and decoder pairs, with one ``str.join``, so no Python code runs per item.
+lists and escapes strings with json's own C escaper
+(``json.encoder.encode_basestring``, the one ``ensure_ascii=False`` uses).
+A list of strings, or of equal-width rows of strings such as edges and
+decoder pairs, is written in runs: a run is a set of consecutive rows that
+share every string but the last, and its text is one ``str.join`` over those
+last strings, so no Python code runs and no tuple is made per row.  A graph
+in a payload stands for its edge list and is written the same way, straight
+from its adjacency rows: vertex i's run is its name and the names of its
+neighbours after it.  Every run is appended to one list of parts, so the
+final ``"".join`` makes the only full-size copy of the text.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from itertools import chain, cycle, islice
+from itertools import chain, groupby
+from operator import itemgetter
 from typing import Any, Optional
 
 from .errors import MalformedInstanceError
-from .graphs import Coloring, Graph, check_token
+from .graphs import Coloring, Graph, check_token, select
 from .letters import Decoder, Word, as_word, normalize_decoder
 
 INSTANCE_FIELDS = ("graph", "alphabet", "coloring", "word", "decoder", "meta")
@@ -120,9 +127,10 @@ def parse_instance(text: str) -> InstanceDocument:
     return InstanceDocument(graph, alphabet, coloring, word, decoder, meta)
 
 
-def graph_payload(graph: Graph) -> dict[str, tuple]:
-    """Vertices in declaration order and edges as `Graph.edge_list` pairs."""
-    return {"vertices": graph.vertices, "edges": graph.edge_list()}
+def graph_payload(graph: Graph) -> dict[str, Any]:
+    """Vertices in declaration order, and the graph itself as its edges:
+    `dump_json` writes a graph as its `Graph.edge_list` pairs."""
+    return {"vertices": graph.vertices, "edges": graph}
 
 
 def coloring_payload(coloring: Coloring, vertex_order) -> dict[str, str]:
@@ -130,6 +138,8 @@ def coloring_payload(coloring: Coloring, vertex_order) -> dict[str, str]:
 
 
 def decoder_payload(decoder) -> list[tuple[str, str]]:
+    """The pairs of a decoder set, sorted.  A `Realization.decoder` is
+    already the sorted tuple of its pairs and is written as it is."""
     return sorted(decoder)
 
 
@@ -151,7 +161,8 @@ def serialize_instance(doc: InstanceDocument) -> str:
 def dump_json(payload: Any) -> str:
     """The canonical text of a JSON value.
 
-    Equal to ``json.dumps(payload, indent=2, ensure_ascii=False) + "\\n"``.
+    Equal to ``json.dumps(payload, indent=2, ensure_ascii=False) + "\\n"``,
+    where a `Graph` in the payload stands for its `Graph.edge_list()`.
     """
     parts: list[str] = []
     _write(payload, "\n", parts)
@@ -163,18 +174,23 @@ def _write(value: Any, newline: str, parts: list[str]) -> None:
     """Append the text of value; newline is a line break plus the current indent."""
     if isinstance(value, str):
         parts.append(_escape(value))
+    elif isinstance(value, Graph):
+        _write_runs(_edge_runs(value), "", True, newline, parts)
     elif isinstance(value, (list, tuple)):
+        runs = _string_runs(value)
+        if runs is not None:
+            _write_runs(*runs, newline, parts)
+            return
         if not value:
             parts.append("[]")
             return
         inner = newline + "  "
         parts.append("[" + inner)
-        if not _write_strings(value, inner, parts):
-            sep = ""
-            for item in value:
-                parts.append(sep)
-                _write(item, inner, parts)
-                sep = "," + inner
+        sep = ""
+        for item in value:
+            parts.append(sep)
+            _write(item, inner, parts)
+            sep = "," + inner
         parts.append(newline + "]")
     elif isinstance(value, dict):
         if not value:
@@ -192,40 +208,74 @@ def _write(value: Any, newline: str, parts: list[str]) -> None:
         parts.append(json.dumps(value))
 
 
-def _write_strings(items, inner: str, parts: list[str]) -> bool:
-    """Append the items of a list at indent `inner` if they are strings or
-    equal-length rows of strings; False, appending nothing, for any other list.
+def _edge_runs(graph: Graph):
+    """The runs of a graph's edge list: vertex i's escaped name, and the
+    escaped names of its neighbours after it, for each i that has some."""
+    names = list(map(_escape, graph.vertices))
+    for i, row in enumerate(graph.adjacency_masks(), 1):
+        later = row >> i
+        if later:
+            yield (names[i - 1],), select(names[i:], later)
 
-    The text is one join over the strings interleaved with separators.  When
-    no string needs an escape, the quotes go into the separators and the
-    strings are joined as they are, so no object is made per string.
+
+def _string_runs(items):
+    """The runs, quote and rows flag with which `_write_runs` writes a list
+    of strings or of equal-width rows of strings; None for any other list.
+
+    Consecutive rows that share every string but the last form one run, and
+    a list of strings or of one-string rows is one run with an empty head.
+    When no string needs an escape, the strings stay as they are and the
+    quotes go into the separators; otherwise each string is escaped.
     """
     kinds = set(map(type, items))
     if kinds == {str}:
-        strings, seps, head, tail = items, ["," + inner], "", ""
-    elif kinds <= {list, tuple}:
+        rows, width, cells = False, 1, items
+    elif kinds and kinds <= {list, tuple}:
         widths = set(map(len, items))
         width = widths.pop()
         if widths or not width:
-            return False
-        strings = list(chain.from_iterable(items))
-        cell = inner + "  "
-        seps = ["," + cell] * (width - 1) + [inner + "]," + inner + "[" + cell]
-        head, tail = "[" + cell, inner + "]"
+            return None
+        rows, cells = True, chain.from_iterable(items)
     else:
-        return False
+        return None
     try:
-        raw = "".join(strings)
+        raw = "".join(cells)
     except TypeError:  # a row holds something other than a string
-        return False
-    if len(_escape(raw)) == len(raw) + 2:
-        seps = ['"' + sep + '"' for sep in seps]
-        head, tail = head + '"', '"' + tail
+        return None
+    last = itemgetter(width - 1)
+    if width == 1:
+        runs = iter([((), map(last, items) if rows else items)])
     else:
-        strings = list(map(_escape, strings))
-    interleaved = chain.from_iterable(zip(strings, cycle(seps)))
-    parts += head, "".join(islice(interleaved, 2 * len(strings) - 1)), tail
-    return True
+        lead = itemgetter(*range(width - 1))
+        runs = (((head,) if width == 2 else head, map(last, group))
+                for head, group in groupby(items, lead))
+    if len(_escape(raw)) == len(raw) + 2:
+        return runs, '"', rows
+    return ((list(map(_escape, head)), map(_escape, tails)) for head, tails in runs), "", rows
+
+
+def _write_runs(runs, quote: str, rows: bool, newline: str, parts: list[str]) -> None:
+    """Append a list given as runs of (head, tails) at the indent after newline.
+
+    A run stands for the rows head + (t,), one for each t in tails (never
+    empty), or, when rows is false, for the strings of tails (head empty).
+    Its strings are escaped already when quote is "", and need no escape
+    when quote is '"'.  Each run is one join over its tails, appended to parts.
+    """
+    first = next(runs, None)
+    if first is None:
+        parts.append("[]")
+        return
+    inner = newline + "  "
+    cell = inner + "  "
+    start, end = ("[" + cell, inner + "]") if rows else ("", "")
+    parts.append("[" + inner)
+    between = ""
+    for head, tails in chain((first,), runs):
+        lead = start + "".join([quote + s + quote + "," + cell for s in head]) + quote
+        parts += between, lead, (quote + end + "," + inner + lead).join(tails), quote + end
+        between = "," + inner
+    parts.append(newline + "]")
 
 
 def _key(key: Any) -> str:

@@ -18,8 +18,9 @@ are candidates whose possible edge-count range misses the target (a
 one-way pair gives none to all of its cross edges, a two-way pair all).
 
 The decoder enumeration peels, along the word, only the candidates whose
-letter graph has the graph's edge count; the block characterization checks
-blocks by degree counts (decoder_retrieval.DecoderInstance.realizes_block).
+letter graph has the graph's edge count between every two classes and
+inside every class; the block characterization checks blocks by degree
+counts (decoder_retrieval.DecoderInstance.realizes_block).
 """
 
 from __future__ import annotations
@@ -236,27 +237,23 @@ def brute_symmetric_lettericity(graph: Graph, k_max: int,
     return _search_realization(graph, k_max, symmetric=True, jobs=jobs)
 
 
-def _verify_masks(args):
-    """The decoders of the masks that peel along the instance's word."""
-    inst, slots, masks = args
-    decoders = (_mask_decoder(slots, mask, symmetric=False) for mask in masks)
-    return [d for d in decoders if inst.peel(inst.visible(d), inst.word) is not None]
-
-
 def enumerate_decoders(graph: Graph, coloring: Coloring, word: Sequence[str],
                        jobs: int = 1) -> list[Decoder]:
     """All decoders over the alphabet that realize the graph from the word.
 
-    Checks every subset of the alphabet's ordered pairs, on one instance
-    built up front; the alphabet may have at most 4 letters (65536
-    candidates).  Bit i * k + j of a candidate mask stands for the pair
+    The alphabet may have at most 4 letters (65536 subsets of its ordered
+    pairs).  Bit i * k + j of a candidate mask stands for the pair
     (letters[i], letters[j]) of the sorted alphabet.  A decoder's letter
-    graph has one edge per pair (a, b) in it and positions i < j with
-    w_i = a and w_j = b, so a table doubled once per pair, the new half
-    adding that pair's count, gives each candidate's edge count; only those
-    with the graph's count become decoders and are peeled along the word.
-    Results come sorted by their sorted pair tuples.  At most `jobs` worker
-    processes, and never more than the CPU count, share the scan.
+    graph has joined(a, b) edges for each pair (a, b) in it, where
+    joined(a, b) counts the positions i < j with w_i = a and w_j = b; the
+    edges inside class a come only from aa, and those between classes a and
+    b only from ab and ba.  So each class pair's own edge count
+    (DecoderInstance.pair_edges) fixes which of its one or two pairs a
+    candidate may hold, and only the product of those per-pair options is
+    built into decoders and peeled along the word.  That leaves at most two
+    options per class pair, so the candidates are peeled in this process;
+    `jobs` is accepted like the other searches' and changes nothing.
+    Results come sorted by their sorted pair tuples.
     """
     inst = DecoderInstance(graph, coloring, word)
     inst.require_used_letters()
@@ -264,18 +261,21 @@ def enumerate_decoders(graph: Graph, coloring: Coloring, word: Sequence[str],
     if k > MAX_ENUMERATION_LETTERS:
         raise SizeLimitError(
             f"decoder enumeration handles at most {MAX_ENUMERATION_LETTERS} letters, got {k}")
-    letters = sorted(coloring.alphabet)
-    slots = [(a, b) for a in letters for b in letters]
     at = inst.at
-    joined = [sum((at[a] & (1 << j) - 1).bit_count() for j in members(at[b])) for a, b in slots]
-    edges = [0]
-    for count in joined:
-        edges += [e + count for e in edges]
-    target = graph.edge_count
-    chunks = _fan_out(_verify_masks, lambda start, stop: (
-        inst, slots, [mask for mask in range(start, stop) if edges[mask] == target]),
-        len(edges), jobs, 1 << 12)
-    return sorted((d for hits in chunks for d in hits), key=lambda d: tuple(sorted(d)))
+    index = {a: i for i, a in enumerate(inst.letters)}
+    slots = [(a, b) for a in inst.letters for b in inst.letters]
+    candidates = [0]
+    for (a, b), count in inst.pair_edges.items():
+        options = [(0, 0)]  # (slot bits, edges they give), doubled once per slot
+        for x, y in dict.fromkeys([(a, b), (b, a)]):
+            joined = sum((at[x] & (1 << q) - 1).bit_count() for q in members(at[y]))
+            options += [(bits | 1 << index[x] * k + index[y], edges + joined)
+                        for bits, edges in options]
+        candidates = [mask | bits for mask in candidates
+                      for bits, edges in options if edges == count]
+    decoders = (_mask_decoder(slots, mask, symmetric=False) for mask in candidates)
+    return sorted((d for d in decoders if inst.peel(inst.visible(d), inst.word) is not None),
+                  key=lambda d: tuple(sorted(d)))
 
 
 def characterization_check(graph: Graph, coloring: Coloring, word: Sequence[str],

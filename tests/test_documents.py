@@ -6,7 +6,7 @@ from hypothesis import example, given, strategies as st
 from lettergraphs import (Coloring, Graph, InstanceDocument,
                           MalformedInstanceError, parse_instance,
                           serialize_instance)
-from lettergraphs.documents import dump_json
+from lettergraphs.documents import dump_json, graph_payload
 
 FULL_TEXT = """\
 {
@@ -89,6 +89,12 @@ def test_decoder_pairs_are_sorted_on_output():
     doc = parse_instance('{"graph": {"vertices": []}, "decoder": [["b","a"],["a","b"]]}')
     out = json.loads(serialize_instance(doc))
     assert out["decoder"] == [["a", "b"], ["b", "a"]]
+    # A frozenset of many pairs iterates in hash order, far from sorted.
+    letters = [f"{c}{i}" for c in "ab" for i in range(12)]
+    pairs = frozenset((a, b) for i, a in enumerate(letters) for j, b in enumerate(letters)
+                      if (7 * i + j) % 3)
+    doc = InstanceDocument(graph=Graph([]), decoder=pairs)
+    assert json.loads(serialize_instance(doc))["decoder"] == sorted(map(list, pairs))
 
 
 def test_coloring_keys_follow_vertex_declaration_order():
@@ -170,12 +176,18 @@ def sequences(elements):
 
 @st.composite
 def string_rows(draw):
-    """A list of string lists or tuples, all of one width, or ragged."""
+    """A list of string lists or tuples, all of one width, or ragged.
+
+    Cells are often drawn from two shared strings, so consecutive rows
+    share their leading strings in runs.
+    """
     widths = st.integers(0, 3)
     width = draw(widths)
     rows = draw(st.lists(st.tuples(st.booleans(), st.one_of(st.just(width), widths)),
                          max_size=6))
-    return [(tuple if as_tuple else list)(draw(st.lists(json_strings, min_size=w, max_size=w)))
+    cells = st.one_of(json_strings, st.sampled_from(draw(st.lists(json_strings, min_size=2,
+                                                                  max_size=2))))
+    return [(tuple if as_tuple else list)(draw(st.lists(cells, min_size=w, max_size=w)))
             for as_tuple, w in rows]
 
 
@@ -192,6 +204,13 @@ json_values = st.recursive(
 @example([("a", "b"), ["c", "d"], ("e", "f")])
 @example([[], []])
 @example({"": [], "k": {}, 1: [[["x"]]], None: [["a", "b"], ["c"]]})
+@example([("a", "b"), ("a", "c"), ("b", "a")])
+@example([["x"], ["y"]])
+@example([("a", "b", "c"), ("a", "b", "d"), ("a", "c", "c"), ("b", "b", "c")])
+@example([("a", '"'), ("a", "c"), ("\\", "a")])
+@example({"status": "solution", "neighborhood_diversity": 2,
+          "blocks": [["v1", "v3"], ["v2", "v4"]], "kinds": ["independent", "clique"],
+          "timing_ms": 0.5})
 def test_dump_json_equals_json_dumps_indent_2(value):
     assert dump_json(value) == json.dumps(value, indent=2, ensure_ascii=False) + "\n"
 
@@ -202,3 +221,32 @@ def test_dump_json_rejects_what_json_rejects(value):
         json.dumps(value, indent=2, ensure_ascii=False)
     with pytest.raises(TypeError):
         dump_json(value)
+
+
+# Vertex tokens whose JSON text needs escapes: quotes, backslashes,
+# non-whitespace control characters, non-BMP code points, lone surrogates.
+TOKEN_SPECIAL = ['"', "\\", "\x00", "\x01", "\x7f", "\ud800", "\udfff", "\U0001f600", "é"]
+tokens = st.lists(st.one_of(st.characters().filter(lambda c: not c.isspace()),
+                            st.sampled_from(TOKEN_SPECIAL)), min_size=1, max_size=4).map("".join)
+
+
+@st.composite
+def graphs(draw):
+    vertices = draw(st.lists(tokens, unique=True, max_size=9))
+    n = len(vertices)
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), max_size=20)) if pairs else []
+    return Graph(vertices, [(vertices[i], vertices[j]) for i, j in edges])
+
+
+@given(graphs())
+@example(Graph([]))
+@example(Graph(["x", "y", '"z']))
+@example(Graph(["a", "b", "c", "d", "e"], [("a", "b"), ("a", "c"), ("b", "c")]))
+@example(Graph([f"v{i}" for i in range(40)], [("v0", "v39"), ("v1", "v2")]))  # sparse rows
+@example(Graph(["\\", "\ud800", "\U0001f600", "q"], [("\\", "q"), ("\ud800", "\U0001f600")]))
+def test_graph_payload_equals_json_dumps_of_the_edge_list(g):
+    """The writer lists a graph's edges from its rows, run by run."""
+    expected = {"graph": {"vertices": list(g.vertices), "edges": g.edge_list()}}
+    assert dump_json({"graph": graph_payload(g)}) == \
+        json.dumps(expected, indent=2, ensure_ascii=False) + "\n"

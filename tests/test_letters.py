@@ -301,6 +301,8 @@ def test_every_producer_returns_a_checked_realization(producer, n, k, rng):
     graph, coloring, word, decoder = random_realizable(rng, n, min(k, max_k, n))
     found = solve(graph, coloring, word, decoder)
     assert found is not None
+    # Answers write the decoder as it is, so it must be the sorted tuple.
+    assert type(found.decoder) is tuple
     assert list(found.decoder) == sorted(set(found.decoder))
     assert [found.mapping[v] for v in found.permutation] == list(range(1, n + 1))
     check_realization(graph, found.mapping, found.word, found.decoder, found.coloring)

@@ -296,7 +296,7 @@ def test_worker_count_never_exceeds_cpu_count(monkeypatch):
     serial_witness = brute_lettericity(g, 3)
     sizes = recording_pool(monkeypatch, cpus=3)
     assert enumerate_decoders(graph, coloring, word, jobs=5000) == serial_decoders
-    assert sizes == [3]
+    assert sizes == []  # the enumeration's few candidates are peeled in process
     assert brute_lettericity(g, 3, jobs=5000) == serial_witness
     assert len(sizes) > 1 and max(sizes) <= 3
 
