@@ -106,7 +106,7 @@ def _cmd_retrieve_decoder(doc: InstanceDocument, args) -> tuple[dict, int]:
     if not args.all:
         found, ms = _timed(decoder_realization, doc.graph, doc.coloring, doc.word)
         return _answer(doc.graph, found, ms, lambda r: {"decoder": r.decoder})
-    decoders, ms = _timed(enumerate_decoders, doc.graph, doc.coloring, doc.word, jobs=args.jobs)
+    decoders, ms = _timed(enumerate_decoders, doc.graph, doc.coloring, doc.word)
     for d in decoders:
         # Checked as a single answer is; an enumerated decoder must peel.
         found = realize_decoder(doc.graph, doc.coloring, doc.word, d)
@@ -303,8 +303,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--all", action="store_true",
                    help="enumerate every decoder instead of returning one")
     p.add_argument("--jobs", type=_jobs, default=1,
-                   help="accepted for symmetry with lettericity (1 to the CPU count); "
-                        "the enumeration runs in one process")
+                   help="accepted and checked like lettericity's (1 to the CPU count); "
+                        "the enumeration runs in one process whatever its value")
     instance_command("retrieve-coloring", "find a coloring matching a decoder and word")
     instance_command("verify", "check whether a word realizes the graph under a decoder")
     instance_command("nd", "compute the neighborhood diversity and twin classes")

@@ -17,12 +17,12 @@ respecting chi:
 Everything runs on one DecoderInstance, built and validated once per call:
 word_retrieval.ColoredInstance's index of the colored graph (adjacency
 rows, class masks, visible masks, the watched-blocker peel, the
-Realization of a peeled order) plus the word, its projections (cached per
-letter set), the pair edge counts and the pair table built on them (every
-letter pair full, empty or one-sided), the block table (per letter, its one-sided partners
-whose projection has at least two of its runs, and the palindromic ones
-among them) and, per center and partner, the cross graph's degrees and
-chain flag with the partner counts before each center position.
+Realization of a peeled order, and the pair table: every letter pair full,
+empty or one-sided, with a chain flag per cross graph) plus the word, its
+projections (cached per letter set), the block table (per letter, its
+one-sided partners whose projection has at least two of its runs, and the
+palindromic ones among them) and, per center and partner, the cross
+graph's degrees with the partner counts before each center position.
 
 The forced pairs, the cascades and the block loop check a block by
 counting degrees (DecoderInstance.realizes_block), never by peeling.  The
@@ -32,7 +32,6 @@ with the word), and decoder_realization returns its order as a Realization.
 
 from __future__ import annotations
 
-from enum import Enum
 from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
@@ -48,15 +47,9 @@ from .letters import (
     project_word,
 )
 from .twosat import TwoSatFormula, solve_2sat
-from .word_retrieval import ColoredInstance
+from .word_retrieval import ColoredInstance, PairKind
 
 DirectedPair = tuple[str, str]
-
-
-class PairKind(Enum):
-    FULL = "full"
-    EMPTY = "empty"
-    ONE_SIDED = "one-sided"
 
 
 class DecoderInstance(ColoredInstance):
@@ -89,44 +82,6 @@ class DecoderInstance(ColoredInstance):
         for a, mask in self.masks.items():
             if not mask:
                 raise MalformedInstanceError(f"letter {a!r} colors no vertex")
-
-    @cached_property
-    def pair_edges(self) -> dict[tuple[str, str], int]:
-        """Edge count of every letter pair (a, b) with a <= b, in sorted
-        order: the edges between the two classes, or inside the class when
-        a = b (counted from both ends there, then halved)."""
-        edges = {}
-        for i, a in enumerate(self.letters):
-            rows = [self.adj[v] for v in members(self.masks[a])]
-            for b in self.letters[i:]:
-                mask_b = self.masks[b]
-                count = sum((row & mask_b).bit_count() for row in rows)
-                edges[a, b] = count // 2 if a == b else count
-        return edges
-
-    @cached_property
-    def pair_kinds(self) -> dict[tuple[str, str], PairKind]:
-        """Kind of every letter pair (a, b) with a <= b, in sorted order.
-
-        A pair's edges are compared with all |A| * |B| possible ones, or
-        |A| * (|A| - 1) / 2 inside a class, which a clique meets exactly.
-        """
-        kinds = {}
-        for (a, b), count in self.pair_edges.items():
-            size = self.masks[a].bit_count()
-            capacity = size * (size - 1) // 2 if a == b else size * self.masks[b].bit_count()
-            if count == 0:
-                kinds[a, b] = PairKind.EMPTY
-            elif count == capacity:
-                kinds[a, b] = PairKind.FULL
-            else:
-                kinds[a, b] = PairKind.ONE_SIDED
-        return kinds
-
-    def one_sided(self) -> list[tuple[str, str]]:
-        """The one-sided pairs of two distinct letters, in sorted order."""
-        return [(a, b) for (a, b), kind in self.pair_kinds.items()
-                if kind is PairKind.ONE_SIDED and a != b]
 
     def projection(self, letters: Iterable[str]) -> Word:
         """The word projected to the letters, computed once per letter set."""
@@ -163,16 +118,14 @@ class DecoderInstance(ColoredInstance):
 
     def cross(self, center: str, partner: str) -> tuple[list[int], bool, list[int]]:
         """The cross graph of distinct letters c and p, computed once: each c
-        vertex's degree into V_p, ascending by vertex, whether those
-        neighbourhoods nest (a chain graph), and per c position the p before it."""
+        vertex's degree into V_p, ascending by vertex, whether it is a chain
+        graph (ColoredInstance.chain), and per c position the p before it."""
         key = (center, partner)
         if key not in self._crosses:
             mask, seen = self.masks[partner], self.at[partner]
-            rows = [self.adj[v] & mask for v in members(self.masks[center])]
-            nested = sorted(rows, key=int.bit_count)
-            chain = all(low & ~high == 0 for low, high in zip(nested, nested[1:]))
+            degrees = [(self.adj[v] & mask).bit_count() for v in members(self.masks[center])]
             before = [(seen & (1 << i) - 1).bit_count() for i in members(self.at[center])]
-            self._crosses[key] = ([row.bit_count() for row in rows], chain, before)
+            self._crosses[key] = (degrees, self.chain(center, partner), before)
         return self._crosses[key]
 
     def realizes_block(self, center: str, partners: Sequence[str],

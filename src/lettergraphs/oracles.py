@@ -9,13 +9,12 @@ unbounded.
 
 The realization searches enumerate colorings up to letter renaming (first
 occurrence order is canonical) and decoders over the chosen letters.  Each
-coloring is indexed once as a word_retrieval.ColoredInstance; a decoder
-candidate is a mask over decoder slots, read straight into the visible
-masks the instance peels, and only the one that hits becomes a decoder.
-Two sound prunings keep that complete: self pairs aa are skipped when the
-letter colors fewer than two vertices (they never produce an edge), and so
-are candidates whose possible edge-count range misses the target (a
-one-way pair gives none to all of its cross edges, a two-way pair all).
+coloring is indexed once as a word_retrieval.ColoredInstance, and its pair
+table drops colorings that no decoder realizes and, on the others, every
+decoder whose pairs disagree with a class pair's kind (_coloring_candidates
+says why no realization is lost).  The candidates left are slot masks
+peeled in ascending order, so the first hit is the one a scan of every
+mask would find.
 
 The decoder enumeration peels, along the word, only the candidates whose
 letter graph has the graph's edge count between every two classes and
@@ -29,13 +28,13 @@ import itertools
 import os
 from concurrent.futures import ProcessPoolExecutor
 from operator import itemgetter
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
-from .decoder_retrieval import DecoderInstance, PairKind
+from .decoder_retrieval import DecoderInstance
 from .errors import MalformedInstanceError, SizeLimitError
 from .graphs import Coloring, Graph, members
 from .letters import Decoder, Realization, checked_decoder
-from .word_retrieval import ColoredInstance
+from .word_retrieval import ColoredInstance, PairKind
 
 ORACLE_LETTERS = "abcdef"
 MAX_ORACLE_VERTICES = 12
@@ -81,53 +80,48 @@ def _stirling2(n: int, k: int) -> int:
     return table[n][k]
 
 
-def _decoder_slots(letters: Sequence[str], sizes: dict[str, int], symmetric: bool):
-    """Candidate decoder slot list with capacities and partner indices."""
-    slots: list[tuple[str, str]] = []
-    caps: list[int] = []
-    if symmetric:
-        for i, a in enumerate(letters):
-            if sizes[a] >= 2:
-                slots.append((a, a))
-                caps.append(sizes[a] * (sizes[a] - 1) // 2)
-            for b in letters[i + 1:]:
-                slots.append((a, b))
-                caps.append(sizes[a] * sizes[b])
-        partner = list(range(len(slots)))
-    else:
-        for a in letters:
-            for b in letters:
-                if a == b and sizes[a] < 2:
-                    continue
-                slots.append((a, b))
-                caps.append(sizes[a] * (sizes[a] - 1) // 2 if a == b else sizes[a] * sizes[b])
-        index = {pair: i for i, pair in enumerate(slots)}
-        partner = [index[(b, a)] if a != b else i for i, (a, b) in enumerate(slots)]
-    return slots, caps, partner
+def _decoder_slots(letters: Sequence[str], symmetric: bool) -> list[tuple[str, str]]:
+    """Decoder slots, bit i of a candidate mask standing for slots[i]: every
+    ordered letter pair, (letters[i], letters[j]) at i * k + j, or with
+    symmetric every pair (a, b) with a <= b, in sorted order."""
+    return [(a, b) for i, a in enumerate(letters) for b in (letters[i:] if symmetric else letters)]
 
 
-def _edge_bound_tables(caps: list[int], partner: list[int]):
-    """Per-mask lower and upper bounds on the realizable edge count.
+def _mask_product(options: Iterable[Sequence[int]]) -> list[int]:
+    """Every mask that ORs one choice of slot bits from each option list,
+    ascending."""
+    masks = [0]
+    for choices in options:
+        masks = [mask | bits for mask in masks for bits in choices]
+    return sorted(masks)
 
-    A slot that is its own partner (a self pair, or any symmetric slot)
-    always adds its capacity."""
-    m = len(caps)
-    low = [0] * (1 << m)
-    high = [0] * (1 << m)
-    for mask in range(1, 1 << m):
-        bit = mask & -mask
-        i = bit.bit_length() - 1
-        rest = mask ^ bit
-        if partner[i] == i:
-            low[mask] = low[rest] + caps[i]
-            high[mask] = high[rest] + caps[i]
-        elif rest >> partner[i] & 1:
-            low[mask] = low[rest] + caps[i]
-            high[mask] = high[rest]
+
+def _coloring_candidates(inst: ColoredInstance, slots: list[tuple[str, str]],
+                         symmetric: bool) -> list[int]:
+    """The slot masks whose decoders the colored graph's pair table allows,
+    ascending; none when a class is mixed, when two classes' cross graph is
+    not a chain graph, or, with symmetric, when any pair is one-sided.
+
+    Every letter graph has homogeneous classes and chain cross graphs, and
+    a class pair's edges come only from its own slots: aa gives the whole
+    class, ab alone between none and all of |A| * |B| edges (a chain graph),
+    and ab with ba all of them.  So aa follows its class's kind, a one-sided
+    pair takes ab or ba, a full one ab, ba or both, an empty one none, ab or
+    ba, and a symmetric slot is taken exactly for a full pair.  Every mask
+    left out has no realization.
+    """
+    bit = {pair: 1 << i for i, pair in enumerate(slots)}
+    options = []
+    for (a, b), kind in inst.pair_kinds.items():
+        if kind is PairKind.ONE_SIDED and (a == b or symmetric or not inst.chain(a, b)):
+            return []
+        if a == b or symmetric:
+            options.append((bit[a, b] if kind is PairKind.FULL else 0,))
         else:
-            low[mask] = low[rest]
-            high[mask] = high[rest] + caps[i]
-    return low, high
+            ab, ba = bit[a, b], bit[b, a]
+            options.append((ab, ba) if kind is PairKind.ONE_SIDED else
+                           (ab, ba, ab | ba) if kind is PairKind.FULL else (0, ab, ba))
+    return _mask_product(options)
 
 
 def _mask_decoder(slots: list[tuple[str, str]], mask: int, symmetric: bool) -> Decoder:
@@ -144,36 +138,21 @@ def _mask_decoder(slots: list[tuple[str, str]], mask: int, symmetric: bool) -> D
 
 def _scan_colorings(args):
     """(coloring index, realization) for the first coloring and decoder mask
-    admitting a realization, scanning colorings in order and decoder masks
-    ascending; only the mask that hits becomes a decoder.  args holds the
-    graph, k, the colorings and the first one's index, and symmetric."""
+    admitting a realization, scanning colorings in order and each one's
+    candidate masks ascending.  args holds the graph, k, the colorings and
+    the first one's index, and symmetric."""
     graph, k, rgs_list, base_index, symmetric = args
     letters = ORACLE_LETTERS[:k]
+    slots = _decoder_slots(letters, symmetric)
     vertices = graph.vertices
-    target = graph.edge_count
     for offset, rgs in enumerate(rgs_list):
         coloring = Coloring({vertices[i]: letters[rgs[i]] for i in range(len(vertices))},
                             tuple(letters))
         inst = ColoredInstance(graph, coloring)
-        masks = inst.masks
-        sizes = {a: len(group) for a, group in coloring.color_groups.items()}
-        slots, caps, partner = _decoder_slots(letters, sizes, symmetric)
-        tables = _edge_bound_tables(caps, partner) if len(slots) <= 18 else None
-        for mask in range(1 << len(slots)):
-            if tables is not None and not tables[0][mask] <= target <= tables[1][mask]:
-                continue
-            visible = dict.fromkeys(letters, 0)
-            bits = mask
-            while bits:
-                low = bits & -bits
-                a, b = slots[low.bit_length() - 1]
-                visible[a] |= masks[b]
-                if symmetric:
-                    visible[b] |= masks[a]
-                bits ^= low
-            order = inst.peel(visible)
+        for mask in _coloring_candidates(inst, slots, symmetric):
+            decoder = _mask_decoder(slots, mask, symmetric)
+            order = inst.peel(inst.visible(decoder))
             if order is not None:
-                decoder = _mask_decoder(slots, mask, symmetric)
                 return base_index + offset, inst.realization(order, decoder)
     return None
 
@@ -237,8 +216,8 @@ def brute_symmetric_lettericity(graph: Graph, k_max: int,
     return _search_realization(graph, k_max, symmetric=True, jobs=jobs)
 
 
-def enumerate_decoders(graph: Graph, coloring: Coloring, word: Sequence[str],
-                       jobs: int = 1) -> list[Decoder]:
+def enumerate_decoders(graph: Graph, coloring: Coloring,
+                       word: Sequence[str]) -> list[Decoder]:
     """All decoders over the alphabet that realize the graph from the word.
 
     The alphabet may have at most 4 letters (65536 subsets of its ordered
@@ -248,11 +227,9 @@ def enumerate_decoders(graph: Graph, coloring: Coloring, word: Sequence[str],
     joined(a, b) counts the positions i < j with w_i = a and w_j = b; the
     edges inside class a come only from aa, and those between classes a and
     b only from ab and ba.  So each class pair's own edge count
-    (DecoderInstance.pair_edges) fixes which of its one or two pairs a
+    (ColoredInstance.pair_edges) fixes which of its one or two pairs a
     candidate may hold, and only the product of those per-pair options is
-    built into decoders and peeled along the word.  That leaves at most two
-    options per class pair, so the candidates are peeled in this process;
-    `jobs` is accepted like the other searches' and changes nothing.
+    built into decoders and peeled along the word, in this process.
     Results come sorted by their sorted pair tuples.
     """
     inst = DecoderInstance(graph, coloring, word)
@@ -262,18 +239,16 @@ def enumerate_decoders(graph: Graph, coloring: Coloring, word: Sequence[str],
         raise SizeLimitError(
             f"decoder enumeration handles at most {MAX_ENUMERATION_LETTERS} letters, got {k}")
     at = inst.at
-    index = {a: i for i, a in enumerate(inst.letters)}
-    slots = [(a, b) for a in inst.letters for b in inst.letters]
-    candidates = [0]
+    slots = _decoder_slots(inst.letters, symmetric=False)
+    bit = {pair: 1 << i for i, pair in enumerate(slots)}
+    options = []
     for (a, b), count in inst.pair_edges.items():
-        options = [(0, 0)]  # (slot bits, edges they give), doubled once per slot
+        choices = [(0, 0)]  # (slot bits, edges they give), doubled once per slot
         for x, y in dict.fromkeys([(a, b), (b, a)]):
             joined = sum((at[x] & (1 << q) - 1).bit_count() for q in members(at[y]))
-            options += [(bits | 1 << index[x] * k + index[y], edges + joined)
-                        for bits, edges in options]
-        candidates = [mask | bits for mask in candidates
-                      for bits, edges in options if edges == count]
-    decoders = (_mask_decoder(slots, mask, symmetric=False) for mask in candidates)
+            choices += [(bits | bit[x, y], edges + joined) for bits, edges in choices]
+        options.append([bits for bits, edges in choices if edges == count])
+    decoders = (_mask_decoder(slots, mask, symmetric=False) for mask in _mask_product(options))
     return sorted((d for d in decoders if inst.peel(inst.visible(d), inst.word) is not None),
                   key=lambda d: tuple(sorted(d)))
 

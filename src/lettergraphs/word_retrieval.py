@@ -23,16 +23,28 @@ ColoredInstance indexes (G, chi) once and holds this rule and the
 package's only peel: retrieve_word peels by index, decoder retrieval (a
 subclass) peels along its word with one heap of ready vertices per letter,
 and the brute-force lettericity scan builds one instance per coloring and
-peels every decoder candidate on it.
+peels every decoder candidate on it.  It also holds the pair table, which
+needs no word: each class pair's edge count and kind (full, empty or
+one-sided), and whether two classes' cross graph is a chain graph.
+Decoder retrieval's sanity checks and block checks read it, and the
+brute-force scan drops colorings and decoder candidates by it.
 """
 
 from __future__ import annotations
 
 import heapq
+from enum import Enum
+from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
-from .graphs import Coloring, Graph, color_masks
+from .graphs import Coloring, Graph, color_masks, members
 from .letters import Realization, checked_decoder
+
+
+class PairKind(Enum):
+    FULL = "full"
+    EMPTY = "empty"
+    ONE_SIDED = "one-sided"
 
 
 class ColoredInstance:
@@ -46,6 +58,57 @@ class ColoredInstance:
         self.letters = sorted(coloring.alphabet)
         self.adj = graph.adjacency_masks()
         self.colors = [coloring[v] for v in graph.vertices]
+        self._chains: dict[tuple[str, str], bool] = {}
+
+    @cached_property
+    def pair_edges(self) -> dict[tuple[str, str], int]:
+        """Edge count of every letter pair (a, b) with a <= b, in sorted
+        order: the edges between the two classes, or inside the class when
+        a = b (counted from both ends there, then halved)."""
+        edges = {}
+        for i, a in enumerate(self.letters):
+            rows = [self.adj[v] for v in members(self.masks[a])]
+            for b in self.letters[i:]:
+                mask_b = self.masks[b]
+                count = sum((row & mask_b).bit_count() for row in rows)
+                edges[a, b] = count // 2 if a == b else count
+        return edges
+
+    @cached_property
+    def pair_kinds(self) -> dict[tuple[str, str], PairKind]:
+        """Kind of every letter pair (a, b) with a <= b, in sorted order.
+
+        A pair's edges are compared with all |A| * |B| possible ones, or
+        |A| * (|A| - 1) / 2 inside a class, which a clique meets exactly.
+        """
+        kinds = {}
+        for (a, b), count in self.pair_edges.items():
+            size = self.masks[a].bit_count()
+            capacity = size * (size - 1) // 2 if a == b else size * self.masks[b].bit_count()
+            if count == 0:
+                kinds[a, b] = PairKind.EMPTY
+            elif count == capacity:
+                kinds[a, b] = PairKind.FULL
+            else:
+                kinds[a, b] = PairKind.ONE_SIDED
+        return kinds
+
+    def one_sided(self) -> list[tuple[str, str]]:
+        """The one-sided pairs of two distinct letters, in sorted order."""
+        return [(a, b) for (a, b), kind in self.pair_kinds.items()
+                if kind is PairKind.ONE_SIDED and a != b]
+
+    def chain(self, a: str, b: str) -> bool:
+        """Whether the cross graph of distinct letters a and b is a chain
+        graph: the a vertices' neighbourhoods in V_b are nested, and then so
+        are the b vertices' in V_a.  Computed once per unordered pair."""
+        key = (a, b) if a < b else (b, a)
+        if key not in self._chains:
+            mask = self.masks[key[1]]
+            rows = sorted((self.adj[v] & mask for v in members(self.masks[key[0]])),
+                          key=int.bit_count)
+            self._chains[key] = all(low & ~high == 0 for low, high in zip(rows, rows[1:]))
+        return self._chains[key]
 
     def visible(self, decoder: Iterable[Sequence[str]]) -> dict[str, int]:
         """Per letter a, the vertices whose letter x has (a, x) in the

@@ -3,18 +3,20 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lettergraphs import (Coloring, Graph, MalformedInstanceError,
-                          Realization, SizeLimitError, brute_isomorphism,
-                          brute_lettericity, brute_symmetric_lettericity,
-                          characterization_check, decode, enumerate_decoders,
+from lettergraphs import (Coloring, Graph, InstanceDocument,
+                          MalformedInstanceError, Realization, SizeLimitError,
+                          brute_isomorphism, brute_lettericity,
+                          brute_symmetric_lettericity, characterization_check,
+                          decode, enumerate_decoders, serialize_instance,
                           verify_decoder)
-from lettergraphs import oracles
+from lettergraphs import cli, oracles
 from lettergraphs.decoder_retrieval import DecoderInstance, build_formula
-from lettergraphs.oracles import (ORACLE_LETTERS, _decoder_slots,
-                                  _edge_bound_tables, _mask_decoder,
-                                  _stirling2, _surjective_colorings,
+from lettergraphs.letters import check_realization
+from lettergraphs.oracles import (ORACLE_LETTERS, _coloring_candidates,
+                                  _decoder_slots, _mask_decoder, _stirling2,
+                                  _surjective_colorings,
                                   brute_word_realization)
-from lettergraphs.word_retrieval import retrieve_word
+from lettergraphs.word_retrieval import ColoredInstance, retrieve_word
 from instances import (bijection_verifies, forced_instance, random_graph,
                        random_realizable, realization_exists)
 
@@ -60,13 +62,39 @@ class TestSurjectiveColorings:
         assert list(_surjective_colorings(2, 3)) == []
 
 
+def edge_bounded_slots(letters, sizes, symmetric):
+    """The reference scan's decoder slots, a self pair only for a letter of
+    two or more vertices, and per slot mask the lowest and highest edge
+    count of its letter graphs: a self pair or a symmetric slot adds its
+    capacity, and so does a pair taken with its reverse; a one-way pair
+    adds anywhere from none to all of its capacity."""
+    if symmetric:
+        slots = [(a, b) for i, a in enumerate(letters) for b in letters[i:]
+                 if a != b or sizes[a] >= 2]
+    else:
+        slots = [(a, b) for a in letters for b in letters if a != b or sizes[a] >= 2]
+    caps = [sizes[a] * (sizes[a] - 1) // 2 if a == b else sizes[a] * sizes[b] for a, b in slots]
+    index = {pair: i for i, pair in enumerate(slots)}
+    partner = [i if symmetric or a == b else index[b, a] for i, (a, b) in enumerate(slots)]
+    low, high = [0] * (1 << len(slots)), [0] * (1 << len(slots))
+    for mask in range(1, 1 << len(slots)):
+        bit = mask & -mask
+        i = bit.bit_length() - 1
+        rest = mask ^ bit
+        if partner[i] == i:
+            low[mask], high[mask] = low[rest] + caps[i], high[rest] + caps[i]
+        elif rest >> partner[i] & 1:
+            low[mask], high[mask] = low[rest] + caps[i], high[rest]
+        else:
+            low[mask], high[mask] = low[rest], high[rest] + caps[i]
+    return slots, low, high
+
+
 class TestEdgeBounds:
     def test_bounds_bracket_reachable_counts(self):
         # two letters of sizes 2 and 1: slots aa, ab, ba
-        slots, caps, partner = _decoder_slots(("a", "b"), {"a": 2, "b": 1},
-                                              symmetric=False)
+        slots, low, high = edge_bounded_slots(("a", "b"), {"a": 2, "b": 1}, symmetric=False)
         assert slots == [("a", "a"), ("a", "b"), ("b", "a")]
-        low, high = _edge_bound_tables(caps, partner)
         for mask in range(1 << len(slots)):
             decoder = _mask_decoder(slots, mask, symmetric=False)
             counts = set()
@@ -79,13 +107,51 @@ class TestEdgeBounds:
                 assert low[mask] == high[mask]
 
     def test_singleton_self_pairs_are_skipped(self):
-        slots, _, _ = _decoder_slots(("a", "b"), {"a": 1, "b": 3},
-                                     symmetric=False)
-        assert ("a", "a") not in slots
-        assert ("b", "b") in slots
-        sym_slots, _, _ = _decoder_slots(("a", "b"), {"a": 1, "b": 3},
-                                         symmetric=True)
-        assert sym_slots == [("a", "b"), ("b", "b")]
+        # A one-vertex class has no inner edge, so no candidate takes its
+        # self pair, in either scan; the other class's follows its kind.
+        graph = Graph(["x", "y1", "y2", "y3"], [("y1", "y2"), ("y1", "y3"), ("y2", "y3")])
+        coloring = Coloring({"x": "a", "y1": "b", "y2": "b", "y3": "b"}, ("a", "b"))
+        inst = ColoredInstance(graph, coloring)
+        for symmetric in (False, True):
+            slots = _decoder_slots(("a", "b"), symmetric)
+            candidates = _coloring_candidates(inst, slots, symmetric)
+            decoders = [_mask_decoder(slots, mask, symmetric) for mask in candidates]
+            assert decoders
+            assert all(("a", "a") not in d and ("b", "b") in d for d in decoders)
+
+
+class TestColoringCandidates:
+    """Every slot mask whose decoder realizes a coloring is among its
+    candidates, so a coloring left without candidates has none.  A mask
+    that takes the self pair of a one-vertex class is left out: that pair
+    gives no edge, and no candidate takes it."""
+
+    @pytest.mark.parametrize("symmetric", [False, True], ids=["plain", "symmetric"])
+    def test_every_realizing_mask_is_a_candidate(self, symmetric):
+        import random
+        rng = random.Random(21)
+        dropped = realized = 0
+        for n in (3, 4, 5, 5, 6):
+            graph = random_graph(rng, n, rng.random())
+            for k in range(1, 4):
+                letters = ORACLE_LETTERS[:k]
+                slots = _decoder_slots(letters, symmetric)
+                for rgs in _surjective_colorings(n, k):
+                    coloring = Coloring({v: letters[rgs[i]] for i, v in enumerate(graph.vertices)},
+                                        tuple(letters))
+                    inst = ColoredInstance(graph, coloring)
+                    candidates = _coloring_candidates(inst, slots, symmetric)
+                    assert candidates == sorted(set(candidates))
+                    lone = sum(1 << slots.index((a, a)) for i, a in enumerate(letters)
+                               if rgs.count(i) == 1)
+                    realizing = [mask for mask in range(1 << len(slots))
+                                 if not mask & lone and retrieve_word(
+                                     graph, coloring, _mask_decoder(slots, mask, symmetric))
+                                 is not None]
+                    assert set(realizing) <= set(candidates)
+                    dropped += not candidates
+                    realized += bool(realizing)
+        assert dropped and realized
 
 
 class TestBruteLettericity:
@@ -133,6 +199,17 @@ class TestBruteLettericity:
         with pytest.raises(MalformedInstanceError):
             brute_lettericity(p4(), 0)
 
+    def test_paths_follow_fergusons_formula(self):
+        # lett(P_n) = floor((n + 4) / 3) (Ferguson, "On the lettericity of
+        # paths", 2020); P2 = K2 needs one letter, so the formula starts at 3.
+        for n in range(3, 9):
+            vertices = [f"p{i}" for i in range(n)]
+            path = Graph(vertices, list(zip(vertices, vertices[1:])))
+            witness = brute_lettericity(path, 4)
+            assert witness.k == (n + 4) // 3
+            check_realization(path, witness.mapping, witness.word, witness.decoder,
+                              witness.coloring)
+
     def test_parallel_scan_matches_serial(self):
         g = random_graph_fixture(7, seed=5)
         serial = brute_lettericity(g, 3, jobs=1)
@@ -143,7 +220,8 @@ class TestBruteLettericity:
 def per_candidate_scan(graph, k_max, symmetric):
     """The realization search as one retrieve_word call per candidate:
     levels ascending, colorings in order, decoder masks ascending, the
-    edge-count bounds applied, and the first realization found wins."""
+    whole-graph edge-count bounds of edge_bounded_slots applied (not the
+    scan's pair table), and the first realization found wins."""
     if graph.n == 0:
         return Realization((), (), (), Coloring({}, ()), {})
     for k in range(1, min(k_max, graph.n) + 1):
@@ -152,8 +230,7 @@ def per_candidate_scan(graph, k_max, symmetric):
             coloring = Coloring({v: letters[rgs[i]] for i, v in enumerate(graph.vertices)},
                                 tuple(letters))
             sizes = {a: len(group) for a, group in coloring.color_groups.items()}
-            slots, caps, partner = _decoder_slots(letters, sizes, symmetric)
-            low, high = _edge_bound_tables(caps, partner)
+            slots, low, high = edge_bounded_slots(letters, sizes, symmetric)
             for mask in range(1 << len(slots)):
                 if low[mask] <= graph.edge_count <= high[mask]:
                     found = retrieve_word(graph, coloring, _mask_decoder(slots, mask, symmetric))
@@ -259,11 +336,23 @@ class TestEnumerateDecoders:
         with pytest.raises(SizeLimitError):
             enumerate_decoders(g, c, tuple("abcde"))
 
-    def test_jobs_agree(self):
+    def test_jobs_agree(self, tmp_path, capsys, monkeypatch):
+        # The enumeration runs in one process; retrieve-decoder --all still
+        # accepts --jobs, and the listing does not depend on it.
+        import json
         import random
         graph, coloring, word, _ = random_realizable(random.Random(9), 5, 3)
-        assert enumerate_decoders(graph, coloring, word) == \
-            enumerate_decoders(graph, coloring, word, jobs=4)
+        path = tmp_path / "k3.json"
+        path.write_text(serialize_instance(InstanceDocument(graph, coloring=coloring, word=word)))
+        monkeypatch.setattr("os.cpu_count", lambda: 4)
+        docs = []
+        for jobs in ("1", "4"):
+            assert cli.main(["retrieve-decoder", "--all", "--jobs", jobs, str(path)]) == 0
+            docs.append(json.loads(capsys.readouterr().out))
+            docs[-1].pop("timing_ms")
+        assert docs[0] == docs[1]
+        assert docs[0]["decoders"] == [sorted(map(list, d))
+                                       for d in enumerate_decoders(graph, coloring, word)]
 
 
 def recording_pool(monkeypatch, cpus):
@@ -289,14 +378,9 @@ def recording_pool(monkeypatch, cpus):
 
 
 def test_worker_count_never_exceeds_cpu_count(monkeypatch):
-    import random
-    graph, coloring, word, _ = random_realizable(random.Random(9), 5, 4)
     g = random_graph_fixture(7, seed=5)
-    serial_decoders = enumerate_decoders(graph, coloring, word)
     serial_witness = brute_lettericity(g, 3)
     sizes = recording_pool(monkeypatch, cpus=3)
-    assert enumerate_decoders(graph, coloring, word, jobs=5000) == serial_decoders
-    assert sizes == []  # the enumeration's few candidates are peeled in process
     assert brute_lettericity(g, 3, jobs=5000) == serial_witness
     assert len(sizes) > 1 and max(sizes) <= 3
 
