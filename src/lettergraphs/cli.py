@@ -14,7 +14,10 @@ process before it is printed, at one site, by check_realization: each
 vertex's bitmask adjacency row among the later word positions must be the
 row its letter's decoder pairs require, and each vertex must carry its
 position's letter.  That covers verify's "true", every decoder of
-retrieve-decoder --all and the graph decode prints.
+retrieve-decoder --all and the graph decode prints.  nd's blocks and
+sym-lettericity's letter classes are checked by check_twin_classes, which
+shares no code with twin_partition, to be exactly the generalized-twin
+classes, so the value printed is also the least one.
 
 main() runs with Python's cyclic garbage collector paused: parsing a large
 instance would otherwise trigger hundreds of collections over lists that
@@ -44,7 +47,7 @@ from .documents import (InstanceDocument, coloring_payload, decoder_payload,
 from .errors import (InternalConsistencyError, MalformedInstanceError,
                      SizeLimitError)
 from .graphs import Coloring, Graph
-from .letters import Realization, check_realization, decode
+from .letters import Realization, check_realization, check_twin_classes, decode
 from .oracles import (brute_isomorphism, brute_lettericity,
                       brute_word_realization, enumerate_decoders)
 from .word_retrieval import ColoredInstance, retrieve_word
@@ -139,6 +142,7 @@ def _cmd_verify(doc: InstanceDocument, args) -> tuple[dict, int]:
 
 def _cmd_nd(doc: InstanceDocument, args) -> tuple[dict, int]:
     partition, ms = _timed(twin_partition, doc.graph)
+    check_twin_classes(doc.graph, partition.blocks, partition.kinds)
     payload = {
         "status": "solution",
         "neighborhood_diversity": len(partition.blocks),
@@ -161,6 +165,11 @@ def _witness_fields(vertices: Sequence[str], witness: Realization) -> dict:
 
 def _cmd_sym_lettericity(doc: InstanceDocument, args) -> tuple[dict, int]:
     found, ms = _timed(symmetric_witness, doc.graph)
+    # _answer checks the realization, the upper bound; its letter classes
+    # being the twin classes is the lower bound.
+    loops = {a for a, b in found.decoder if a == b}
+    check_twin_classes(doc.graph, [found.coloring.group(a) for a in found.alphabet],
+                       ["clique" if a in loops else "independent" for a in found.alphabet])
     return _answer(doc.graph, found, ms, lambda r: _witness_fields(doc.graph.vertices, r))
 
 

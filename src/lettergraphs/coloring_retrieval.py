@@ -9,6 +9,9 @@ adjacent when fully joined): colored refinement with backtracking
 individualization, on one labeling of the two quotients' disjoint union,
 matches them on an explicit stack so that no frame depth grows with the
 graph, and each matched class pair is then paired off member by member.
+A refinement round is one pass over the edges in label order, which leaves
+every vertex's neighbor labels sorted without a sort per vertex, and
+refinement stops as soon as the partition is discrete.
 """
 
 from __future__ import annotations
@@ -27,24 +30,43 @@ Neighbors = Sequence[Sequence[int]]
 
 def _refine(nbrs: Neighbors, labels: Labels, cells: int,
             half: int) -> Optional[tuple[Labels, int]]:
-    """The stable partition of the labeling, or None if the two halves part ways.
+    """The refined labeling, or None if the two halves part ways.
 
     Vertices 0..half-1 belong to the first graph and half.. to the second.
     Each round relabels every vertex by the rank of its signature (own label
-    plus the sorted neighbor labels), so one palette names the cells of both
-    graphs; the signature censuses of the two halves must agree.  `cells` is
-    the number of labels in use, 0..cells-1.
+    plus the ascending list of its neighbors' labels), so one palette names
+    the cells of both graphs; the signature censuses of the two halves must
+    agree.  `cells` is the number of labels in use, 0..cells-1.
+
+    A round makes one pass over the edges and sorts nothing per vertex: it
+    visits the vertices in ascending label order and appends each one's
+    label to the list of every neighbor, so every list is filled in
+    ascending order and is already the sorted neighbor labels.  Refinement
+    stops at a stable partition, or as soon as there are `half` cells:
+    equal censuses then put one vertex of each half in every cell, and
+    `_match` settles that discrete partition by its edge check.
     """
+    n = len(nbrs)
     while True:
-        sigs = [(labels[i], tuple(sorted(labels[j] for j in vs))) for i, vs in enumerate(nbrs)]
+        rows: list[list[int]] = [[] for _ in range(n)]
+        for label, i in sorted(zip(labels, range(n))):
+            for j in nbrs[i]:
+                rows[j].append(label)
+        for i, row in enumerate(rows):
+            rows[i] = tuple(row)  # each list goes before the next is copied
+        sigs = list(zip(labels, rows))
+        del rows
         census = Counter(sigs[:half])
         if census != Counter(sigs[half:]):
             return None
         relabel = {sig: k for k, sig in enumerate(sorted(census))}
-        labels = [relabel[s] for s in sigs]
-        if len(relabel) == cells:
-            return labels, cells
+        del census
+        labels = list(map(relabel.__getitem__, sigs))
+        del sigs
+        if len(relabel) in (cells, half):
+            return labels, len(relabel)
         cells = len(relabel)
+        del relabel
 
 
 def _match(nbrs: Neighbors, labels: Labels, cells: int, half: int) -> Optional[list[int]]:
@@ -52,8 +74,17 @@ def _match(nbrs: Neighbors, labels: Labels, cells: int, half: int) -> Optional[l
 
     Refinement plus individualization with backtracking on an explicit
     stack.  Every cell holds as many vertices of each half, first-half ones
-    first, and image[v] is the index of v's image.  Deterministic: the first smallest open cell and its lowest-index
-    vertex are individualized first, candidate images in index order.
+    first, and image[v] is the index of v's image.  Deterministic: the first
+    smallest open cell and its lowest-index vertex are individualized first,
+    candidate images in index order.
+
+    A leaf is a discrete partition, which `_refine` may hand over before it
+    is stable.  One more round would either leave it as it is, reaching this
+    same leaf, or split a vertex from its image and fail the census.  In the
+    second case the vertex and its image see different neighbor labels;
+    since each label names one vertex per half, the candidate map then sends
+    some edge to a non-edge, so the edge check refutes the leaf just as that
+    census would have.
     """
     stack: list[tuple[Labels, int, int, Iterator[int]]] = []
     state = _refine(nbrs, labels, cells, half)
@@ -71,7 +102,8 @@ def _match(nbrs: Neighbors, labels: Labels, cells: int, half: int) -> Optional[l
                 image = [0] * half
                 for v, u in members.values():
                     image[v] = u
-                if all(sorted(image[j] for j in nbrs[i]) == nbrs[image[i]] for i in range(half)):
+                if all(sorted(map(image.__getitem__, nbrs[i])) == nbrs[image[i]]
+                       for i in range(half)):
                     return image
         state = None
         while state is None:

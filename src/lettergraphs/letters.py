@@ -196,3 +196,43 @@ def check_realization(graph: Graph, mapping: Mapping[str, int], word: Sequence[s
         for v in graph.vertices:
             if word[mapping[v] - 1] != coloring[v]:
                 raise InternalConsistencyError(f"solution word disagrees with the coloring at {v}")
+
+
+def check_twin_classes(graph: Graph, blocks: Sequence[Sequence[str]],
+                       kinds: Sequence[str]) -> None:
+    """Raise unless the blocks are exactly the graph's generalized-twin classes.
+
+    That makes len(blocks) the least alphabet of any symmetric decoder, both
+    ways: one letter per block realizes the graph, and under a symmetric
+    decoder two vertices with one letter are twins, so p pairwise non-twin
+    vertices need p letters.  Checked directly on the bitmask rows: the
+    blocks partition the vertices; every member v of a block with first
+    member u has rows[v] & ~bit(u) == rows[u] & ~bit(v); each kind is
+    "clique" for a block of two or more pairwise adjacent members and
+    "independent" for one with no inner edge (a twin class is one or the
+    other, so u's row inside the block decides it); and no two blocks are
+    twins.  Vertices u and w are twins exactly when their open rows are
+    equal (u, w not adjacent) or their closed rows are (u, w adjacent), so
+    the last test is that the first members' open rows are distinct and so
+    are their closed rows.
+    """
+    if len(kinds) != len(blocks) or not all(blocks) \
+            or sorted(v for block in blocks for v in block) != sorted(graph.vertices):
+        raise InternalConsistencyError("blocks do not partition the vertices")
+    rows = graph.adjacency_masks()
+    firsts = []
+    for block, kind in zip(blocks, kinds):
+        ids = list(map(graph.index, block))
+        u = ids[0]
+        firsts.append(u)
+        for v in ids:
+            if rows[v] & ~(1 << u) != rows[u] & ~(1 << v):
+                raise InternalConsistencyError(f"{graph.vertices[v]} is not a twin of {block[0]}")
+        mask = sum(1 << v for v in ids)
+        inside = rows[u] & mask
+        if kind != ("clique" if len(ids) > 1 and inside == mask ^ 1 << u
+                    else "independent" if inside == 0 else None):
+            raise InternalConsistencyError(f"the block of {block[0]} is not of kind {kind}")
+    if len({rows[u] for u in firsts}) != len(firsts) \
+            or len({rows[u] | 1 << u for u in firsts}) != len(firsts):
+        raise InternalConsistencyError("two blocks are twins, so fewer letters suffice")

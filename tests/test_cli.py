@@ -6,8 +6,9 @@ import random
 
 import pytest
 
-from lettergraphs import cli
+from lettergraphs import cli, diversity
 from lettergraphs.cli import gen_instance, main
+from lettergraphs.diversity import TwinPartition
 from lettergraphs.documents import (InstanceDocument, parse_instance,
                                     serialize_instance)
 from instances import banane_instance
@@ -275,6 +276,23 @@ def test_internal_verification_failure_exit_70(argv, solver, banane_path, capsys
     err = capsys.readouterr().err
     assert code == 70
     assert "internal error" in err
+
+
+@pytest.mark.parametrize("command", ["nd", "sym-lettericity"])
+def test_non_minimal_twin_classes_exit_70(command, capsys, monkeypatch, tmp_path):
+    # Splitting a star's leaves over two letters still realizes the star, so
+    # only the twin-class check can refuse it: the two leaf blocks are twins.
+    path = tmp_path / "star.json"
+    path.write_text(json.dumps({"graph": {"vertices": ["c", "l0", "l1", "l2"],
+                                          "edges": [["c", "l0"], ["c", "l1"], ["c", "l2"]]}}))
+    split = TwinPartition(blocks=(("c",), ("l0",), ("l1", "l2")), kinds=("independent",) * 3,
+                          adjacency=((1, 2), (0,), (0,)))
+    monkeypatch.setattr(cli, "twin_partition", lambda graph: split)
+    monkeypatch.setattr(diversity, "twin_partition", lambda graph: split)
+    code = main([command, str(path)])
+    captured = capsys.readouterr()
+    assert code == 70 and not captured.out
+    assert "two blocks are twins" in captured.err
 
 
 def test_gen_round_trips_and_is_deterministic(capsys):

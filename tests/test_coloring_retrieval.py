@@ -1,5 +1,6 @@
 import random
 import sys
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from lettergraphs import (Graph, MalformedInstanceError, decode,
                           find_isomorphism, gi_to_coloring_instance,
                           retrieve_coloring, verify_decoder)
+from lettergraphs import coloring_retrieval
 from lettergraphs.oracles import brute_isomorphism
 from instances import random_graph
 
@@ -19,6 +21,14 @@ def cycle(n, prefix="v"):
 def path(n, prefix="p"):
     vertices = [f"{prefix}{i}" for i in range(n)]
     return Graph(vertices, [(vertices[i], vertices[i + 1]) for i in range(n - 1)])
+
+
+def relabeled(g, rng):
+    """A shuffled copy of g on vertices w0.., always isomorphic to g."""
+    order = rng.sample(range(g.n), g.n)
+    names = [f"w{i}" for i in range(g.n)]
+    return Graph(names, [(names[order[g.index(u)]], names[order[g.index(v)]])
+                         for u, v in g.edge_list()])
 
 
 def check_isomorphism(g, h, mapping):
@@ -158,12 +168,7 @@ def test_decoded_word_graph_equals_second_graph():
 def test_agrees_with_permutation_search(n, rng, relabel):
     g = random_graph(rng, n)
     if relabel:
-        # shuffled copy of g, always isomorphic
-        order = rng.sample(range(n), n)
-        names = [f"w{i}" for i in range(n)]
-        edges = [(names[order[g.index(u)]], names[order[g.index(v)]])
-                 for u, v in g.edge_list()]
-        h = Graph(names, edges)
+        h = relabeled(g, rng)
     else:
         h = random_graph(rng, n)
     got = find_isomorphism(g, h)
@@ -234,3 +239,95 @@ def test_search_depth_does_not_grow_with_the_graph():
         sys.setrecursionlimit(limit)
     assert mapping is not None
     check_isomorphism(g, h, mapping)
+
+
+def reference_refine(nbrs, labels, cells, half):
+    """The reference for `_refine`: every round sorts each vertex's neighbor
+    labels on its own, and only a stable partition (or a census mismatch)
+    ends it."""
+    while True:
+        sigs = [(labels[i], tuple(sorted(labels[j] for j in vs))) for i, vs in enumerate(nbrs)]
+        census = Counter(sigs[:half])
+        if census != Counter(sigs[half:]):
+            return None
+        relabel = {sig: k for k, sig in enumerate(sorted(census))}
+        labels = [relabel[s] for s in sigs]
+        if len(relabel) == cells:
+            return labels, cells
+        cells = len(relabel)
+
+
+def near_miss(g, rng):
+    """g with one edge moved to a non-edge: same vertices, same edge count."""
+    edges = set(g.edge_list())
+    pairs = [(u, v) for i, u in enumerate(g.vertices) for v in g.vertices[i + 1:]
+             if (u, v) not in edges]
+    if edges and pairs:
+        edges.remove(rng.choice(sorted(edges)))
+        edges.add(rng.choice(pairs))
+    return Graph(g.vertices, sorted(edges))
+
+
+def differential_pairs():
+    rng = random.Random(29)
+    ring = ["w0", "w2", "w4", "w1", "w3", "w5"]
+    yield cycle(6), Graph([f"w{i}" for i in range(6)],
+                          [(ring[i], ring[(i + 1) % 6]) for i in range(6)])
+    yield (Graph(["a0", "a1", "a2", "b0", "b1", "b2"],
+                 [(f"a{i}", f"b{j}") for i in range(3) for j in range(3)]),
+           Graph(["x0", "y0", "x1", "y1", "x2", "y2"],
+                 [(f"x{i}", f"y{j}") for i in range(3) for j in range(3)]))
+    yield cycle(4), path(4)
+    # Not isomorphic; after one individualization refinement reaches a
+    # discrete partition that the next round would refute by its census,
+    # so the new kernel refutes it at the leaf's edge check instead.
+    g_edges = ["04", "05", "13", "15", "17", "18", "25", "26", "27", "34", "35", "36", "37",
+               "38", "45", "46", "48", "57", "58", "68", "78"]
+    h_edges = ["03", "06", "07", "08", "12", "15", "17", "18", "24", "25", "27", "28", "35",
+               "36", "37", "38", "45", "56", "57", "58", "78"]
+    yield tuple(Graph([f"{c}{i}" for i in range(9)], [(f"{c}{a}", f"{c}{b}") for a, b in edges])
+                for c, edges in (("v", g_edges), ("w", h_edges)))
+    yield cycle(24), relabeled(cycle(24), rng)
+    yield disjoint_paths(12, "g", rng), disjoint_paths(12, "h", rng)
+    for n in (5, 9, 16, 30, 60):
+        for p in (0.06, 0.15, 0.5):
+            for _ in range(2):
+                g = random_graph(rng, n, p)
+                yield g, relabeled(g, rng)
+                yield g, relabeled(near_miss(g, rng), rng)
+    for n in (3, 5):
+        base = random_graph(rng, n)
+        classes = [(rng.randint(1, 4), rng.random() < 0.5) for _ in range(n)]
+        yield blow_up(base, classes, rng, "g"), blow_up(base, classes, rng, "h")
+
+
+def test_refinement_matches_the_sorted_signature_reference(monkeypatch):
+    # The label-order pass builds exactly the reference's signatures, so the
+    # search takes the same path: every answer is the same mapping or None.
+    # Each reference call that ends in a partition is reproduced unchanged;
+    # one that ends in a census mismatch may instead stop one round earlier
+    # at a discrete partition, which the leaf's edge check then refutes.
+    # Both kinds of call occur among the pairs.
+    calls = []
+
+    def recording(nbrs, labels, cells, half):
+        result = reference_refine(nbrs, labels, cells, half)
+        calls.append(((nbrs, list(labels), cells, half), result))
+        return result
+
+    pairs = list(differential_pairs())
+    answers = [find_isomorphism(g, h) for g, h in pairs]
+    monkeypatch.setattr(coloring_retrieval, "_refine", recording)
+    assert [find_isomorphism(g, h) for g, h in pairs] == answers
+    monkeypatch.undo()
+    assert any(answer is None for answer in answers) and any(answers)
+    stable_open = early_leaves = 0
+    for (nbrs, labels, cells, half), expected in calls:
+        got = coloring_retrieval._refine(nbrs, labels, cells, half)
+        if expected is not None:
+            assert got == expected
+            stable_open += expected[1] != half
+        else:
+            assert got is None or got[1] == half
+            early_leaves += got is not None
+    assert stable_open and early_leaves

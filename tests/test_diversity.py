@@ -2,11 +2,15 @@ from collections import Counter
 
 from hypothesis import given, settings, strategies as st
 
-from lettergraphs import (Graph, decode, neighborhood_diversity,
-                          symmetric_witness, twin_partition, verify_decoder)
+import pytest
+
+from lettergraphs import (Graph, InternalConsistencyError, decode,
+                          neighborhood_diversity, symmetric_witness,
+                          twin_partition, verify_decoder)
 from lettergraphs.diversity import TwinPartition
 from lettergraphs.graphs import are_generalized_twins
-from lettergraphs.letters import check_realization, is_symmetric_decoder
+from lettergraphs.letters import (check_realization, check_twin_classes,
+                                  is_symmetric_decoder)
 from instances import random_graph
 
 
@@ -225,3 +229,53 @@ def blow_up(rng, base, p):
 def test_partition_matches_the_per_quotient_edge_join_loop(n, rng, p, twins):
     g = blow_up(rng, n // 2, p) if twins else random_graph(rng, n, p)
     assert twin_partition(g) == twin_partition_by_quotient_edges(g)
+
+
+def three_blocks():
+    """A clique pair a fully joined to an independent triple b, which is
+    fully joined to one more vertex c: blocks {a1, a2}, {b1, b2, b3}, {c}."""
+    a, b = ["a1", "a2"], ["b1", "b2", "b3"]
+    return Graph(a + b + ["c"], [("a1", "a2")] + [(u, v) for u in a for v in b]
+                 + [(v, "c") for v in b])
+
+
+def test_twin_class_check_accepts_the_twin_partition():
+    g = three_blocks()
+    partition = twin_partition(g)
+    assert partition.blocks == (("a1", "a2"), ("b1", "b2", "b3"), ("c",))
+    check_twin_classes(g, partition.blocks, partition.kinds)
+    check_twin_classes(Graph([]), (), ())
+
+
+@pytest.mark.parametrize("blocks,kinds", [
+    # merged: c is not a twin of the b's
+    ((("a1", "a2"), ("b1", "b2", "b3", "c")), ("clique", "independent")),
+    # split: two blocks of b's are twins, so one letter fewer suffices
+    ((("a1", "a2"), ("b1",), ("b2", "b3"), ("c",)),
+     ("clique", "independent", "independent", "independent")),
+    # moved member: b3 sits with the a's
+    ((("a1", "a2", "b3"), ("b1", "b2"), ("c",)), ("clique", "independent", "independent")),
+    # wrong kind: the a's are adjacent
+    ((("a1", "a2"), ("b1", "b2", "b3"), ("c",)), ("independent", "independent", "independent")),
+    # a singleton counts as independent
+    ((("a1", "a2"), ("b1", "b2", "b3"), ("c",)), ("clique", "independent", "clique")),
+    # not a partition: c is missing, or listed twice, or a block is empty
+    ((("a1", "a2"), ("b1", "b2", "b3")), ("clique", "independent")),
+    ((("a1", "a2"), ("b1", "b2", "b3"), ("c",), ("c",)),
+     ("clique", "independent", "independent", "independent")),
+    ((("a1", "a2"), ("b1", "b2", "b3"), ("c",), ()),
+     ("clique", "independent", "independent", "independent")),
+], ids=["merged", "split", "moved", "wrong-kind", "singleton-clique", "missing",
+        "repeated", "empty"])
+def test_twin_class_check_rejects(blocks, kinds):
+    with pytest.raises(InternalConsistencyError):
+        check_twin_classes(three_blocks(), blocks, kinds)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=1, max_value=12), st.randoms(use_true_random=False),
+       st.floats(min_value=0.1, max_value=0.9), st.booleans())
+def test_twin_class_check_accepts_every_twin_partition(n, rng, p, twins):
+    g = blow_up(rng, n // 2 + 1, p) if twins else random_graph(rng, n, p)
+    partition = twin_partition(g)
+    check_twin_classes(g, partition.blocks, partition.kinds)
